@@ -6,7 +6,8 @@ Subcommands:
   mumimo  interferer-classification rate vs SNR, CSV output
   tables  distinct-term counts, shift-add plans, constellation dumps
 
-Exit codes: 0 success, 2 configuration error, 3 shadow-oracle mismatch.
+Exit codes: 0 success, 2 configuration error, 3 shadow-oracle mismatch,
+4 singular or degenerate channel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from .constellation import ModScheme, make_constellation
-from .errors import ConfigError, ShadowOracleMismatch
+from .errors import ConfigError, DegenerateChannelError, ShadowOracleMismatch, SingularChannelError
 from .hwmodel import (
     FixedPointFormat,
     build_shiftadd_plan,
@@ -197,6 +198,9 @@ def main(argv=None) -> int:
     except ShadowOracleMismatch as exc:
         print(f"shadow-oracle mismatch: {exc} record={exc.record}", file=sys.stderr)
         return 3
+    except (SingularChannelError, DegenerateChannelError) as exc:
+        print(f"channel error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -181,14 +181,23 @@ class Constellation:
         """(Q, q) {-1,+1} bit vectors matching :attr:`points` order."""
         return self._enum()[1]
 
+    @property
+    def level_grid(self) -> np.ndarray:
+        """(P_re, P_im) index into :attr:`points` of each pair of axis level indices."""
+        return self._enum()[2]
+
     def _enum(self):
         cached = getattr(self, "_enum_cache", None)
         if cached is None:
             q = self.bits_per_symbol
             patterns = np.arange(self.order)[:, None] >> np.arange(q - 1, -1, -1)[None, :]
             bits = (1 - 2 * (patterns & 1)).astype(np.int8)
-            pts = np.array([map_bits(self, b) for b in bits])
-            cached = (pts, bits)
+            re = _level_indices(self.real_axis, bits[:, self.real_bit_idx])
+            im = _level_indices(self.imag_axis, bits[:, self.imag_bit_idx])
+            pts = self.real_axis.levels[re] + 1j * self.imag_axis.levels[im]
+            grid = np.empty((self.real_axis.size, self.imag_axis.size), dtype=np.intp)
+            grid[re, im] = np.arange(self.order)
+            cached = (pts, bits, grid)
             object.__setattr__(self, "_enum_cache", cached)
         return cached
 
@@ -197,15 +206,16 @@ class Constellation:
         """Multiplier giving E[|x|^2] = 1 over a uniform symbol draw."""
         return 1.0 / np.sqrt(np.mean(np.abs(self.points) ** 2))
 
+    def point_indices(self, symbols: np.ndarray) -> np.ndarray:
+        """Indices into :attr:`points` of an array of exact constellation points."""
+        symbols = np.asarray(symbols)
+        return self.level_grid[
+            self.real_axis.indices_of(symbols.real), self.imag_axis.indices_of(symbols.imag)
+        ]
+
     def bits_of_points(self, symbols: np.ndarray) -> np.ndarray:
         """Bits (..., q) of an array of exact constellation points."""
-        symbols = np.asarray(symbols)
-        re_idx = self.real_axis.indices_of(symbols.real)
-        im_idx = self.imag_axis.indices_of(symbols.imag)
-        out = np.empty(symbols.shape + (self.bits_per_symbol,), dtype=np.int8)
-        out[..., self.real_bit_idx] = self.real_axis.bits[re_idx]
-        out[..., self.imag_bit_idx] = self.imag_axis.bits[im_idx]
-        return out
+        return self.point_bits[self.point_indices(symbols)]
 
     def table_dump(self) -> str:
         """Text dump of (level, bits) per axis for auditing."""
@@ -243,13 +253,14 @@ def make_constellation(scheme: ModScheme | int) -> Constellation:
     )
 
 
-def _axis_level(axis: PamAxis, bits: np.ndarray) -> float:
+def _level_indices(axis: PamAxis, bits: np.ndarray) -> np.ndarray:
+    """Index of the axis level carrying each bit vector of bits (..., t)."""
     if axis.bits_per_level == 0:
-        return 0.0
-    matches = np.nonzero((axis.bits == bits).all(axis=1))[0]
-    if len(matches) != 1:
+        return np.zeros(bits.shape[:-1], dtype=np.intp)
+    matches = (bits[..., None, :] == axis.bits).all(axis=-1)
+    if np.any(matches.sum(axis=-1) != 1):
         raise ValueError(f"no axis level for bit vector {bits}")
-    return float(axis.levels[matches[0]])
+    return np.argmax(matches, axis=-1)
 
 
 def map_bits(c: Constellation, bits) -> complex:
@@ -259,8 +270,8 @@ def map_bits(c: Constellation, bits) -> complex:
         raise ValueError(
             f"expected {c.bits_per_symbol} bits for {c.scheme.name}, got shape {bits.shape}"
         )
-    re = _axis_level(c.real_axis, bits[c.real_bit_idx])
-    im = _axis_level(c.imag_axis, bits[c.imag_bit_idx])
+    re = c.real_axis.levels[_level_indices(c.real_axis, bits[c.real_bit_idx])]
+    im = c.imag_axis.levels[_level_indices(c.imag_axis, bits[c.imag_bit_idx])]
     return complex(re, im)
 
 
@@ -275,10 +286,10 @@ def demap_symbol(c: Constellation, x: complex) -> np.ndarray:
 
 
 def split_prior(c: Constellation, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Split a q-long prior-LLR vector into (real-axis, imag-axis) parts."""
+    """Split prior LLRs (..., q) into (real-axis, imag-axis) parts along the last axis."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (c.bits_per_symbol,):
+    if lam.shape[-1:] != (c.bits_per_symbol,):
         raise ValueError(
             f"expected {c.bits_per_symbol} priors for {c.scheme.name}, got shape {lam.shape}"
         )
-    return lam[c.real_bit_idx], lam[c.imag_bit_idx]
+    return lam[..., c.real_bit_idx], lam[..., c.imag_bit_idx]

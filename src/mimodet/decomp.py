@@ -3,12 +3,13 @@
 ``ql_decompose`` factors H = Q L with Q unitary and L lower triangular
 with positive real diagonal, which makes the factorization unique.
 
-``punctured_decompose`` produces W, L with W*H_perm = L where L is lower
-triangular with every row n >= 2 zeroed except columns 1 and n, so all
-layers decouple from the enumerated first layer.  Columns of W are unit
-norm, which keeps the per-entry noise variance unchanged; W is not
-unitary in general.  Columns of H are circularly shifted so the
-requested detection layer comes first.
+``punctured_decompose_batch`` produces, for stacked channels, W, L with
+W*H_perm = L where L is lower triangular with every row n >= 2 zeroed
+except columns 1 and n, so all layers decouple from the enumerated
+first layer.  Columns of W are unit norm, which keeps the per-entry
+noise variance unchanged; W is not unitary in general.  Columns of H
+are circularly shifted so the requested detection layer comes first.
+``punctured_decompose`` and ``transform_observation`` are its T=1 views.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "punctured_decompose",
     "punctured_decompose_batch",
     "transform_observation",
+    "transform_observation_batch",
 ]
 
 SINGULAR_RTOL = 1e-10
@@ -99,55 +101,30 @@ def _puncture_sets(n: int) -> list[list[int]]:
 def punctured_decompose(h: np.ndarray, layer: int) -> PuncturedDecomposition:
     """Decouple all layers from `layer` via orthogonal projections.
 
-    Column n of W is the projection of (shifted) column n of H onto the
-    complement of the columns to be punctured, normalized to unit length.
+    The T=1 view of :func:`punctured_decompose_batch`.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    if h.shape != (n, n) or not 2 <= n <= 4:
+    if h.ndim != 2:
         raise ValueError("punctured_decompose expects a square 2x2..4x4 matrix")
-    if not 0 <= layer < n:
-        raise ValueError(f"layer {layer} out of range for {n} layers")
-    perm = tuple((layer + i) % n for i in range(n))
-    hp = h[:, perm]
-    scale = np.linalg.norm(h)
-    tiny = max(scale, np.finfo(float).tiny)
-
-    w = np.empty_like(hp)
-    norms = np.empty(n)
-    for i, idx in enumerate(_puncture_sets(n)):
-        hn = hp[:, i]
-        if idx:
-            hi = hp[:, idx]
-            gram = hi.conj().T @ hi
-            try:
-                coef = np.linalg.solve(gram, hi.conj().T @ hn)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateChannelError("puncture set is rank deficient") from exc
-            wt = hn - hi @ coef
-        else:
-            wt = hn
-        # ||wt||^2 equals hn* P hn in exact arithmetic but stays accurate
-        # under cancellation, keeping the W columns unit norm
-        norm2 = float(np.real(wt.conj() @ wt))
-        if norm2 <= (SINGULAR_RTOL * tiny) ** 2:
-            raise DegenerateChannelError("projection collapsed a channel column")
-        norms[i] = np.sqrt(norm2)
-        w[:, i] = wt / norms[i]
-
-    l = w.conj().T @ hp
-    np.fill_diagonal(l, norms)
-    return PuncturedDecomposition(w, l, layer, perm)
+    w, l = punctured_decompose_batch(h[None], layer)
+    n = h.shape[0]
+    return PuncturedDecomposition(w[0], l[0], layer, tuple((layer + i) % n for i in range(n)))
 
 
 def punctured_decompose_batch(h: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`punctured_decompose` over stacked channels.
+    """Punctured decompositions of stacked channels.
 
-    h has shape (T, N, N); returns (W, L) of the same shape.  Raises on
-    any degenerate instance, like the scalar version.
+    h has shape (T, N, N); returns (W, L) of the same shape.  Column n of
+    W is the projection of (shifted) column n of H onto the complement
+    of the columns to be punctured, normalized to unit length.  Raises
+    on any degenerate instance.
     """
     h = np.asarray(h, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2] or not 2 <= h.shape[1] <= 4:
+        raise ValueError("punctured_decompose expects square 2x2..4x4 matrices")
     t, n, _ = h.shape
+    if not 0 <= layer < n:
+        raise ValueError(f"layer {layer} out of range for {n} layers")
     perm = [(layer + i) % n for i in range(n)]
     hp = h[:, :, perm]
     tiny = np.maximum(np.linalg.norm(hp, axis=(1, 2)), np.finfo(float).tiny)
@@ -159,12 +136,15 @@ def punctured_decompose_batch(h: np.ndarray, layer: int) -> tuple[np.ndarray, np
         if idx:
             hi = hp[:, :, idx]
             hi_h = hi.conj().transpose(0, 2, 1)
-            gram = hi_h @ hi
-            rhs = hi_h @ hn[:, :, None]
-            coef = np.linalg.solve(gram, rhs)
+            try:
+                coef = np.linalg.solve(hi_h @ hi, hi_h @ hn[:, :, None])
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateChannelError("puncture set is rank deficient") from exc
             wt = hn - (hi @ coef)[:, :, 0]
         else:
             wt = hn
+        # ||wt||^2 equals hn* P hn in exact arithmetic but stays accurate
+        # under cancellation, keeping the W columns unit norm
         norm2 = np.real(np.sum(wt.conj() * wt, axis=1))
         if np.any(norm2 <= (SINGULAR_RTOL * tiny) ** 2):
             raise DegenerateChannelError("projection collapsed a channel column")
@@ -181,4 +161,9 @@ def transform_observation(d: PuncturedDecomposition, y_tilde: np.ndarray) -> np.
     y_tilde = np.asarray(y_tilde, dtype=complex)
     if y_tilde.shape != (d.w.shape[0],):
         raise ValueError("observation length does not match decomposition")
-    return d.w.conj().T @ y_tilde
+    return transform_observation_batch(d.w[None], y_tilde[None])[0]
+
+
+def transform_observation_batch(w: np.ndarray, y_tilde: np.ndarray) -> np.ndarray:
+    """W* y for stacked projections w (T, N, N) and observations y (T, N)."""
+    return (w.conj().transpose(0, 2, 1) @ np.asarray(y_tilde, dtype=complex)[:, :, None])[:, :, 0]

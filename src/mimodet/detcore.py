@@ -1,4 +1,4 @@
-"""One-sided detector core: precomputed constants, slicers, candidate lists.
+"""One-sided detector core over stacked trials: constants, slicers, candidates.
 
 Distances are evaluated in the expanded quadratic form
 
@@ -11,11 +11,15 @@ x-independent term |y|^2, which is kept as ``dropped_const`` so absolute
 distances ||y - Lx||^2 - b(x)'lam are reconstructible; candidate lists
 store the absolute value.
 
-Per-axis minimization runs either through soft decision boundaries
-(``mode="slicer"``) or by enumerating the axis (``mode="exhaustive"``);
-both paths evaluate the same float expressions and must agree bit for
-bit.  Priors are accepted pre-scaled (the 1/sigma^2 of the prior-LLR
-definition is the caller's responsibility).
+Every per-axis minimum comes from soft decision boundaries built per
+trial from that trial's priors (:func:`detect_one_sided_batch`);
+``oracle.exhaustive_axis_argmin`` is the brute-force reference they
+match, ties included.  The kernels carry a leading trial axis T and
+treat each trial on its own, so a trial's result does not depend on the
+batch it ran in; ``build_slicer_table``, ``detect_one_sided`` and
+``rescore_candidates`` are their T=1 views.  Priors are accepted
+pre-scaled (the 1/sigma^2 of the prior-LLR definition is the caller's
+responsibility).
 
 Tie conventions, fixed for determinism: slicer intervals are closed at
 the lower edge (lo <= u < hi), and equal-distance candidates resolve to
@@ -24,7 +28,9 @@ the lower level / lower enumeration index.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +45,11 @@ __all__ = [
     "build_slicer_table",
     "soft_slice",
     "CandidateList",
+    "CandidateBatch",
     "detect_one_sided",
     "detect_one_sided_batch",
     "rescore_candidates",
+    "rescore_batch",
 ]
 
 
@@ -51,7 +59,8 @@ class DistanceConstants:
 
     ``enum_*`` multiply the enumerated layer's coordinates, ``slice_*``
     and ``cross_*`` (arrays over the sliced layers, index n-2) feed the
-    per-layer axis metrics.
+    per-layer axis metrics.  The batched kernel holds the same fields
+    with a leading trial axis.
     """
 
     enum_quad: float  # alpha^2 + sum |c_n|^2
@@ -64,6 +73,27 @@ class DistanceConstants:
     slice_lin_im: np.ndarray  # -2 beta_n y_nim
 
 
+def _constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
+    alpha = l[:, 0, 0].real
+    cre = l[:, 1:, 0].real
+    cim = l[:, 1:, 0].imag
+    beta = np.diagonal(l, axis1=1, axis2=2)[:, 1:].real
+    yre = y.real
+    yim = y.imag
+    yre1 = yre[:, 1:]
+    yim1 = yim[:, 1:]
+    return DistanceConstants(
+        enum_quad=alpha * alpha + np.sum(cre * cre + cim * cim, axis=1),
+        enum_lin_re=-2.0 * (alpha * yre[:, 0] + np.sum(cre * yre1 + cim * yim1, axis=1)),
+        enum_lin_im=-2.0 * (alpha * yim[:, 0] + np.sum(cre * yim1 - cim * yre1, axis=1)),
+        slice_quad=beta * beta,
+        cross_re=2.0 * beta * cre,
+        cross_im=-2.0 * beta * cim,
+        slice_lin_re=-2.0 * beta * yre1,
+        slice_lin_im=-2.0 * beta * yim1,
+    )
+
+
 def distance_constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
     """Constants of the expanded distance form from (punctured) L and y."""
     l = np.asarray(l, dtype=complex)
@@ -71,40 +101,72 @@ def distance_constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
     n = l.shape[0]
     if l.shape != (n, n) or y.shape != (n,):
         raise ValueError("inconsistent decomposition dimensions")
-    alpha = float(l[0, 0].real)
-    cre = l[1:, 0].real.astype(float)
-    cim = l[1:, 0].imag.astype(float)
-    beta = np.diagonal(l)[1:].real.astype(float)
-    yre = y.real.astype(float)
-    yim = y.imag.astype(float)
-    return DistanceConstants(
-        enum_quad=alpha * alpha + float(np.sum(cre * cre + cim * cim)),
-        enum_lin_re=-2.0 * (alpha * yre[0] + float(np.sum(cre * yre[1:] + cim * yim[1:]))),
-        enum_lin_im=-2.0 * (alpha * yim[0] + float(np.sum(cre * yim[1:] - cim * yre[1:]))),
-        slice_quad=beta * beta,
-        cross_re=2.0 * beta * cre,
-        cross_im=-2.0 * beta * cim,
-        slice_lin_re=-2.0 * beta * yre[1:],
-        slice_lin_im=-2.0 * beta * yim[1:],
-    )
+    k = _constants(l[None], y[None])
+    return DistanceConstants(*(getattr(k, f.name)[0] for f in dataclasses.fields(k)))
 
 
-def hard_slice(axis: PamAxis, z, beta: float):
+def _locate(breakpoints, u):
+    """Number of breakpoints <= u; ``breakpoints`` broadcasts against u[..., None]."""
+    u = np.asarray(u, dtype=float)
+    count = np.zeros(np.broadcast_shapes(u.shape, breakpoints.shape[:-1]), dtype=np.intp)
+    for j in range(breakpoints.shape[-1]):
+        count += breakpoints[..., j] <= u
+    return count
+
+
+def hard_slice(axis: PamAxis, z, beta):
     """Nearest axis level of z under scaling beta (zero-prior slicing).
 
     Decision regions are beta*(p_{i-1}+p_i)/2 <= z < beta*(p_i+p_{i+1})/2,
     closed on the left, so an exact midpoint resolves to the upper level.
+    ``beta`` broadcasts against z, e.g. (T, 1) per-trial scalings for a
+    (T, C) query.
     """
-    if beta <= 0:
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
         raise ValueError("beta must be positive")
-    z = np.asarray(z, dtype=float)
-    if axis.size == 1:
-        out = np.zeros_like(z)
-        return float(out) if out.ndim == 0 else out
-    bounds = beta * (axis.levels[:-1] + axis.levels[1:]) / 2.0
-    idx = np.searchsorted(bounds, z, side="right")
-    out = axis.levels[idx]
-    return float(out) if np.ndim(z) == 0 else out
+    lv = axis.levels
+    out = lv[_locate(beta[..., None] * ((lv[:-1] + lv[1:]) / 2.0), z)]
+    return float(out) if out.ndim == 0 else out
+
+
+def _bias(bits: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """b' lam (T, P) of each bit row (P, t) under per-trial priors lam (T, t)."""
+    if not lam.any():
+        return np.zeros((len(lam), len(bits)))
+    return (bits @ lam[:, :, None])[:, :, 0]
+
+
+def _slicer_tables(axis: PamAxis, quad, offset, lam):
+    """Soft decision boundaries of one axis for T trials.
+
+    ``quad`` and ``offset`` are (T,), ``lam`` (T, t).  Pairwise
+    boundaries are R(p_i, p_k) = quad*(p_i + p_k) - (b(p_i) - b(p_k))'
+    lam / (p_i - p_k); the interval form in u-space absorbs the offset
+    (G or H), so level i wins exactly on [lo[i], hi[i]), and levels
+    with lo >= hi are dominated by the priors and unreachable.  With
+    zero priors the boundaries reduce to the scaled midpoints.
+
+    Returns (bias, lo, hi, reachable, order, breakpoints), all (T, P)
+    except breakpoints (T, P-1).  ``order`` lists the reachable levels
+    by ascending lo (stable), then the unreachable ones;
+    ``breakpoints`` holds lo of order[1:], +inf for unreachable levels,
+    so the level containing u is order[number of breakpoints <= u].
+    """
+    lv = axis.levels
+    upper = lv[None, :] > lv[:, None]  # k > i
+    bias = _bias(axis.bits, lam)
+    neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
+    if lam.any():
+        # unit diagonal: 0 / 1 there, and the masks below leave it out
+        diff = lv[:, None] - lv[None, :] + np.eye(len(lv))
+        neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
+    lo = np.max(np.where(upper, neg_r, -np.inf), axis=2) - offset[:, None]
+    hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2) - offset[:, None]
+    reachable = lo < hi
+    key = np.where(reachable, lo, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    return bias, lo, hi, reachable, order, key[np.arange(len(key))[:, None], order[:, 1:]]
 
 
 @dataclass(frozen=True)
@@ -127,77 +189,40 @@ class SlicerTable:
     sel_idx: np.ndarray  # (K,) level indices ordered by interval position
     breakpoints: np.ndarray  # (K-1,) ascending interval bounds
 
-    @property
-    def levels(self) -> np.ndarray:
-        return self.axis.levels
-
 
 def build_slicer_table(axis: PamAxis, quad: float, offset: float, lam_axis) -> SlicerTable:
-    """Build soft decision boundaries for one axis.
-
-    Pairwise boundaries are R(p_i, p_k) = quad*(p_i + p_k)
-    - (b(p_i) - b(p_k))' lam / (p_i - p_k); the closed interval form in
-    u-space absorbs the offset (G or H) so queries need no further
-    arithmetic.  With zero priors the boundaries reduce to the scaled
-    midpoints of the axis.
-    """
+    """Soft decision boundaries of one axis: the T=1 view of the batched tables."""
     lam_axis = np.asarray(lam_axis, dtype=float)
     if lam_axis.shape != (axis.bits_per_level,):
         raise ValueError("prior length does not match axis bits")
-    p = axis.size
-    bias = axis.bits @ lam_axis if axis.bits_per_level else np.zeros(p)
-    if p == 1:
-        return SlicerTable(
-            axis, quad, offset, bias,
-            lo=np.array([-np.inf]), hi=np.array([np.inf]),
-            reachable=np.ones(1, dtype=bool),
-            sel_idx=np.zeros(1, dtype=np.intp),
-            breakpoints=np.zeros(0),
-        )
-    lv = axis.levels
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (bias[:, None] - bias[None, :]) / (lv[:, None] - lv[None, :])
-    np.fill_diagonal(ratio, 0.0)
-    neg_r = -(quad * (lv[:, None] + lv[None, :]) - ratio)
-    upper = np.triu(np.ones((p, p), dtype=bool), k=1)  # k > i
-    lo = np.max(np.where(upper, neg_r, -np.inf), axis=1) - offset
-    hi = np.min(np.where(upper.T, neg_r, np.inf), axis=1) - offset
-    reachable = lo < hi
-    sel = np.nonzero(reachable)[0]
-    order = np.argsort(lo[sel], kind="stable")
-    sel = sel[order]
+    bias, lo, hi, reachable, order, breakpoints = (
+        a[0] for a in _slicer_tables(axis, np.array([quad]), np.array([offset]), lam_axis[None])
+    )
+    k = int(np.count_nonzero(reachable))
     return SlicerTable(
         axis, quad, offset, bias, lo, hi, reachable,
-        sel_idx=sel.astype(np.intp), breakpoints=lo[sel[1:]],
+        sel_idx=order[:k], breakpoints=breakpoints[: k - 1],
     )
 
 
 def soft_slice(table: SlicerTable, u):
     """Level whose decision interval contains u (lo <= u < hi)."""
-    u = np.asarray(u, dtype=float)
-    idx = table.sel_idx[np.searchsorted(table.breakpoints, u, side="right")]
-    out = table.axis.levels[idx]
-    return float(out) if np.ndim(u) == 0 else out
+    out = table.axis.levels[table.sel_idx[_locate(table.breakpoints, u)]]
+    return float(out) if out.ndim == 0 else out
 
 
-def _axis_min(table: SlicerTable, u: np.ndarray, mode: str):
-    """Per-axis minimum of B p^2 + (G + u) p - bias over the axis levels.
+def _slice_axis(axis: PamAxis, quad, offset, lam, u):
+    """Per-axis minima of B p^2 + (G + u) p - bias for queries u (T, Q).
 
-    Returns (levels, min values, bias at the minimizing level).  Both
-    modes evaluate the identical float expression at the chosen level.
+    Returns (level indices, min values, bias at the minimizing level).
     """
-    gu = table.offset + u
-    if mode == "slicer":
-        k = table.sel_idx[np.searchsorted(table.breakpoints, u, side="right")]
-        p_hat = table.axis.levels[k]
-        b_hat = table.bias[k]
-        val = table.quad * p_hat * p_hat + gu * p_hat - b_hat
-        return p_hat, val, b_hat
-    lv = table.axis.levels
-    metric = table.quad * lv * lv + gu[:, None] * lv - table.bias
-    k = np.argmin(metric, axis=1)
-    rows = np.arange(len(u))
-    return lv[k], metric[rows, k], table.bias[k]
+    bias, _, _, _, order, breakpoints = _slicer_tables(axis, quad, offset, lam)
+    rows = np.arange(len(u))[:, None]
+    k = order[rows, _locate(breakpoints[:, None, :], u)]
+    p_hat = axis.levels[k]
+    b_hat = bias[rows, k]
+    val = quad[:, None] * p_hat * p_hat + (offset[:, None] + u) * p_hat - b_hat
+    return k, val, b_hat
 
 
 @dataclass(frozen=True)
@@ -210,6 +235,8 @@ class CandidateList:
     ||y - Lx||^2 - b(x)'lam for L-based lists, ||ytilde - Hx||^2 -
     b(x)'lam after rescoring.  ``dropped_const`` (= |y|^2) is the term
     the expanded form drops; subtracting it recovers the relative form.
+    ``index`` (Q, N) holds each symbol's index into its layer's
+    constellation points; hand-built lists may leave it None.
     """
 
     layer: int
@@ -219,96 +246,49 @@ class CandidateList:
     prior_bias: np.ndarray
     dropped_const: float
     distance_mode: str  # "L" | "H"
+    index: np.ndarray | None = None
 
     def __len__(self):
         return len(self.distances)
 
+    def batch(self) -> "CandidateBatch":
+        """This list as a batch of one trial."""
+        index = None if self.index is None else self.index[None]
+        return CandidateBatch(
+            self.symbols[None], self.distances[None], self.prior_bias[None], index,
+            np.array([self.dropped_const]), self.layer, self.perm, self.distance_mode,
+        )
 
-def _normalize_priors(priors, constellations):
+
+class CandidateBatch(NamedTuple):
+    """Candidate lists of T trials from one decomposition (see :class:`CandidateList`)."""
+
+    symbols: np.ndarray  # (T, Q, N)
+    distances: np.ndarray  # (T, Q)
+    prior_bias: np.ndarray  # (T, Q)
+    index: np.ndarray | None  # (T, Q, N)
+    dropped_const: np.ndarray  # (T,)
+    layer: int
+    perm: tuple[int, ...]
+    distance_mode: str
+
+    def row(self, t: int) -> CandidateList:
+        index = None if self.index is None else self.index[t]
+        return CandidateList(
+            self.layer, self.perm, self.symbols[t], self.distances[t], self.prior_bias[t],
+            float(self.dropped_const[t]), self.distance_mode, index,
+        )
+
+
+def _normalize_priors(priors, constellations, t):
     out = []
     for i, c in enumerate(constellations):
         lam = None if priors is None else priors[i]
-        if lam is None:
-            lam = np.zeros(c.bits_per_symbol)
-        else:
-            lam = np.asarray(lam, dtype=float)
-            if lam.shape != (c.bits_per_symbol,):
-                raise ValueError(f"layer {i}: expected {c.bits_per_symbol} priors")
+        lam = np.zeros((t, c.bits_per_symbol)) if lam is None else np.asarray(lam, dtype=float)
+        if lam.shape != (t, c.bits_per_symbol):
+            raise ValueError(f"layer {i}: expected {c.bits_per_symbol} priors")
         out.append(lam)
     return out
-
-
-def detect_one_sided(
-    d: PuncturedDecomposition,
-    y: np.ndarray,
-    constellations,
-    priors=None,
-    mode: str = "slicer",
-) -> CandidateList:
-    """Enumerate the detection layer and slice all others in parallel.
-
-    ``y`` is the transformed observation W* ytilde; ``constellations``
-    and ``priors`` are indexed by original layer.  ``mode`` selects the
-    soft-boundary slicer or per-axis exhaustive minimization; the two
-    must produce identical lists.
-    """
-    if mode not in ("slicer", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n = d.n_layers
-    if len(constellations) != n:
-        raise ValueError("constellation count does not match decomposition")
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (n,):
-        raise ValueError("observation length does not match decomposition")
-    lam_all = _normalize_priors(priors, constellations)
-    cons = [constellations[p] for p in d.perm]
-    lam = [lam_all[p] for p in d.perm]
-
-    const = distance_constants(d.l, y)
-    c0 = cons[0]
-    pts = c0.points
-    x1re = pts.real
-    x1im = pts.imag
-    bias0 = c0.point_bits @ lam[0]
-    gbar = (
-        const.enum_quad * (x1re * x1re + x1im * x1im)
-        + const.enum_lin_re * x1re
-        + const.enum_lin_im * x1im
-        - bias0
-    )
-    total_bias = bias0.copy()
-
-    q = len(pts)
-    symbols = np.empty((q, n), dtype=complex)
-    symbols[:, d.perm[0]] = pts
-    for i in range(1, n):
-        lam_re, lam_im = split_prior(cons[i], lam[i])
-        t_re = build_slicer_table(
-            cons[i].real_axis, const.slice_quad[i - 1], const.slice_lin_re[i - 1], lam_re
-        )
-        t_im = build_slicer_table(
-            cons[i].imag_axis, const.slice_quad[i - 1], const.slice_lin_im[i - 1], lam_im
-        )
-        u_re = const.cross_re[i - 1] * x1re + const.cross_im[i - 1] * x1im
-        u_im = const.cross_re[i - 1] * x1im - const.cross_im[i - 1] * x1re
-        p_re, v_re, b_re = _axis_min(t_re, u_re, mode)
-        p_im, v_im, b_im = _axis_min(t_im, u_im, mode)
-        gbar += v_re + v_im
-        total_bias += b_re + b_im
-        symbols[:, d.perm[i]] = p_re + 1j * p_im
-
-    yre = y.real
-    yim = y.imag
-    dropped = float(np.sum(yre * yre + yim * yim))
-    return CandidateList(
-        layer=d.layer,
-        perm=d.perm,
-        symbols=symbols,
-        distances=gbar + dropped,
-        prior_bias=total_bias,
-        dropped_const=dropped,
-        distance_mode="L",
-    )
 
 
 def detect_one_sided_batch(
@@ -316,97 +296,107 @@ def detect_one_sided_batch(
     y: np.ndarray,
     constellations,
     perm: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-prior :func:`detect_one_sided` over stacked decompositions.
+    priors=None,
+) -> CandidateBatch:
+    """Enumerate the detection layer and slice all others, for T trials.
 
-    ``l`` is (T, N, N), ``y`` (T, N); returns (symbols (T, Q, N),
-    distances (T, Q)).  Mirrors the scalar path operation for operation
-    so results match it bit for bit.
+    ``l`` is (T, N, N) with the layers in decomposition order ``perm``,
+    ``y`` (T, N) the transformed observations W* ytilde.
+    ``constellations`` and ``priors`` are indexed by original layer;
+    ``priors`` is None or holds, per layer, None or (T, q_n) prior LLRs.
     """
     l = np.asarray(l, dtype=complex)
     y = np.asarray(y, dtype=complex)
     t, n, _ = l.shape
+    perm = tuple(perm)
+    lam = _normalize_priors(priors, constellations, t)
     cons = [constellations[p] for p in perm]
+    k = _constants(l, y)
 
-    alpha = l[:, 0, 0].real
-    cre = l[:, 1:, 0].real
-    cim = l[:, 1:, 0].imag
-    beta = np.diagonal(l, axis1=1, axis2=2)[:, 1:].real
-    yre = y.real
-    yim = y.imag
-    a_q = alpha * alpha + np.sum(cre * cre + cim * cim, axis=1)
-    c_l = -2.0 * (alpha * yre[:, 0] + np.sum(cre * yre[:, 1:] + cim * yim[:, 1:], axis=1))
-    d_l = -2.0 * (alpha * yim[:, 0] + np.sum(cre * yim[:, 1:] - cim * yre[:, 1:], axis=1))
-    b_q = beta * beta
-    e_c = 2.0 * beta * cre
-    f_c = -2.0 * beta * cim
-    g_c = -2.0 * beta * yre[:, 1:]
-    h_c = -2.0 * beta * yim[:, 1:]
-
-    pts = cons[0].points
+    c0 = cons[0]
+    pts = c0.points
     x1re = pts.real
     x1im = pts.imag
-    q = len(pts)
+    bias0 = _bias(c0.point_bits, lam[perm[0]])
     gbar = (
-        a_q[:, None] * (x1re * x1re + x1im * x1im)[None, :]
-        + c_l[:, None] * x1re[None, :]
-        + d_l[:, None] * x1im[None, :]
-        - np.zeros(q)
+        k.enum_quad[:, None] * (x1re * x1re + x1im * x1im)
+        + k.enum_lin_re[:, None] * x1re
+        + k.enum_lin_im[:, None] * x1im
+        - bias0
     )
+    total_bias = bias0.copy()
+
+    q = len(pts)
     symbols = np.empty((t, q, n), dtype=complex)
-    symbols[:, :, perm[0]] = pts[None, :]
-
+    index = np.empty((t, q, n), dtype=np.intp)
+    symbols[:, :, perm[0]] = pts
+    index[:, :, perm[0]] = np.arange(q)
     for i in range(1, n):
-        bq = b_q[:, i - 1, None]
-        u_re = e_c[:, i - 1, None] * x1re[None, :] + f_c[:, i - 1, None] * x1im[None, :]
-        u_im = e_c[:, i - 1, None] * x1im[None, :] - f_c[:, i - 1, None] * x1re[None, :]
-        parts = []
-        for axis, u, off in (
-            (cons[i].real_axis, u_re, g_c[:, i - 1, None]),
-            (cons[i].imag_axis, u_im, h_c[:, i - 1, None]),
-        ):
-            if axis.size == 1:
-                parts.append((np.zeros_like(u), np.zeros_like(u)))
-                continue
-            lv = axis.levels
-            # zero-prior breakpoints: lo of each level, highest level first
-            bp = -(bq * (lv[:-1] + lv[1:])[None, :]) - off
-            idx = np.sum(bp[:, None, :] <= u[:, :, None], axis=2)
-            p_hat = lv[::-1][idx]
-            gu = off + u
-            val = bq * p_hat * p_hat + gu * p_hat - 0.0
-            parts.append((p_hat, val))
-        (p_re, v_re), (p_im, v_im) = parts
+        c = cons[i]
+        lam_re, lam_im = split_prior(c, lam[perm[i]])
+        cre = k.cross_re[:, i - 1, None]
+        cim = k.cross_im[:, i - 1, None]
+        bq = k.slice_quad[:, i - 1]
+        k_re, v_re, b_re = _slice_axis(
+            c.real_axis, bq, k.slice_lin_re[:, i - 1], lam_re, cre * x1re + cim * x1im
+        )
+        k_im, v_im, b_im = _slice_axis(
+            c.imag_axis, bq, k.slice_lin_im[:, i - 1], lam_im, cre * x1im - cim * x1re
+        )
         gbar += v_re + v_im
-        symbols[:, :, perm[i]] = p_re + 1j * p_im
+        total_bias += b_re + b_im
+        symbols[:, :, perm[i]] = c.real_axis.levels[k_re] + 1j * c.imag_axis.levels[k_im]
+        index[:, :, perm[i]] = c.level_grid[k_re, k_im]
 
-    dropped = np.sum(yre * yre + yim * yim, axis=1)
-    return symbols, gbar + dropped[:, None]
+    dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)
+    return CandidateBatch(
+        symbols, gbar + dropped[:, None], total_bias, index, dropped, perm[0], perm, "L"
+    )
 
 
-def rescore_candidates(
-    clist: CandidateList,
-    h: np.ndarray,
-    y_tilde: np.ndarray,
-    quad_scale: float = 1.0,
+def detect_one_sided(
+    d: PuncturedDecomposition,
+    y: np.ndarray,
+    constellations,
+    priors=None,
 ) -> CandidateList:
-    """Replace list distances with the channel-based metric.
+    """Enumerate the detection layer and slice all others in parallel.
 
-    New distances are quad_scale * ||ytilde - Hx||^2 - b(x)'lam, using
-    the prior bias recorded at list creation; entry order is preserved.
+    ``y`` is the transformed observation W* ytilde; ``constellations``
+    and ``priors`` are indexed by original layer.  The T=1 view of
+    :func:`detect_one_sided_batch`.
     """
+    n = d.n_layers
+    if len(constellations) != n:
+        raise ValueError("constellation count does not match decomposition")
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (n,):
+        raise ValueError("observation length does not match decomposition")
+    if priors is not None:
+        priors = [None if lam is None else np.asarray(lam, dtype=float)[None] for lam in priors]
+    return detect_one_sided_batch(d.l[None], y[None], constellations, d.perm, priors).row(0)
+
+
+def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> CandidateBatch:
+    """Replace distances with ||ytilde - Hx||^2 - b(x)'lam; h (T, N, N), y_tilde (T, N).
+
+    Uses the prior bias recorded at list creation; entry order is preserved.
+    """
+    h = np.asarray(h, dtype=complex)
+    y_tilde = np.asarray(y_tilde, dtype=complex)
+    resid = y_tilde[:, None, :] - cand.symbols @ h.transpose(0, 2, 1)
+    quad = np.sum(resid.real * resid.real + resid.imag * resid.imag, axis=2)
+    return cand._replace(
+        distances=quad - cand.prior_bias,
+        dropped_const=np.zeros(len(quad)),
+        distance_mode="H",
+    )
+
+
+def rescore_candidates(clist: CandidateList, h: np.ndarray, y_tilde: np.ndarray) -> CandidateList:
+    """Replace list distances with the channel-based metric (T=1 view of :func:`rescore_batch`)."""
     h = np.asarray(h, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
     if h.shape[1] != clist.symbols.shape[1] or y_tilde.shape != (h.shape[0],):
         raise ValueError("channel/observation dimensions do not match the list")
-    resid = y_tilde[None, :] - clist.symbols @ h.T
-    quad = np.sum(resid.real * resid.real + resid.imag * resid.imag, axis=1)
-    return CandidateList(
-        layer=clist.layer,
-        perm=clist.perm,
-        symbols=clist.symbols,
-        distances=quad_scale * quad - clist.prior_bias,
-        prior_bias=clist.prior_bias,
-        dropped_const=0.0,
-        distance_mode="H",
-    )
+    return rescore_batch(clist.batch(), h[None], y_tilde[None]).row(0)

@@ -5,6 +5,11 @@ minus min over the (-1) partition, so the sign points toward the hard
 decision (negative when the detected bit is +1).  Outputs carry the
 unscaled distance metric; multiplying by sigma^2/2 recovers true
 log-likelihood ratios and is left to the caller.
+
+The work runs on :class:`~mimodet.detcore.CandidateBatch` stacks of T
+trials (``two_sided_batch``, ``combine_batch``); ``llr_two_sided`` and
+``combine_lists`` are their T=1 views.  Bits are looked up through each
+candidate's constellation index.
 """
 
 from __future__ import annotations
@@ -13,18 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detcore import CandidateList
+from .detcore import CandidateBatch, CandidateList
 
-__all__ = ["DetectionResult", "hard_decision", "llr_two_sided", "combine_lists"]
+__all__ = ["DetectionResult", "hard_decision", "llr_two_sided", "combine_lists",
+           "two_sided_batch", "combine_batch"]
 
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """Detector output for one trial, or for T trials along a leading axis."""
+
     hard: np.ndarray  # (N,) complex symbol vector
     dmin: float
     llr: tuple[np.ndarray, ...]  # per layer, (q_n,)
     distance_mode: str  # "L" | "H" | "exact"
     layers_used: tuple[int, ...]
+    hard_index: np.ndarray | None = None  # (N,) indices into each layer's points
+
+    def row(self, t: int) -> "DetectionResult":
+        """Trial t of a batched result."""
+        return DetectionResult(self.hard[t], float(self.dmin[t]), tuple(lam[t] for lam in self.llr),
+                               self.distance_mode, self.layers_used, self.hard_index[t])
 
 
 def hard_decision(clist: CandidateList) -> tuple[np.ndarray, float]:
@@ -35,93 +49,114 @@ def hard_decision(clist: CandidateList) -> tuple[np.ndarray, float]:
     return clist.symbols[i], float(clist.distances[i])
 
 
-def _partition_minima(clist: CandidateList, layer: int, constellation) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit minima of the list distances over the +-1 partitions of one layer."""
-    bits = constellation.bits_of_points(clist.symbols[:, layer])
-    dist = clist.distances[:, None]
-    pos = np.min(np.where(bits == 1, dist, np.inf), axis=0)
-    neg = np.min(np.where(bits == -1, dist, np.inf), axis=0)
+def partition_minima(distances: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit minima of distances (..., Q) over the +-1 partitions of bits (..., Q, q)."""
+    dist = distances[..., None]
+    pos = np.min(np.where(bits == 1, dist, np.inf), axis=-2)
+    neg = np.min(np.where(bits == -1, dist, np.inf), axis=-2)
     return pos, neg
 
 
-def llr_two_sided(
-    list1: CandidateList,
-    list2: CandidateList,
+def _llr(batches, layer: int, constellation) -> np.ndarray:
+    """(T, q) bit LLRs of one layer from the partition minima over all batches."""
+    pos = neg = np.inf
+    for cand in batches:
+        p, m = partition_minima(cand.distances, constellation.point_bits[cand.index[:, :, layer]])
+        pos, neg = np.minimum(pos, p), np.minimum(neg, m)
+    return pos - neg
+
+
+def best_candidates(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial argmin over the union of candidate batches.
+
+    Returns (symbols (T, N), distances (T,), indices (T, N)); ties go to
+    the earlier batch, then the lower enumeration index.
+    """
+    best = None
+    for cand in batches:
+        k = np.argmin(cand.distances, axis=1)
+        rows = np.arange(len(k))
+        found = (cand.symbols[rows, k], cand.distances[rows, k], cand.index[rows, k])
+        if best is None:
+            best = found
+            continue
+        upd = found[1] < best[1]
+        best = tuple(np.where(upd if a.ndim == 1 else upd[:, None], a, b)
+                     for a, b in zip(found, best))
+    return best
+
+
+def two_sided_batch(
+    cand1: CandidateBatch,
+    cand2: CandidateBatch,
     constellations,
     min_match_rtol: float | None = 1e-9,
 ) -> DetectionResult:
-    """Exact 2-layer soft output from the two one-sided lists.
+    """Exact 2-layer soft output from the two one-sided lists of T trials.
 
-    ``list1`` must enumerate layer 0 and ``list2`` layer 1.  Each
+    ``cand1`` must enumerate layer 0 and ``cand2`` layer 1.  Each
     layer's bit LLRs come from its own list; the two lists must attain
     the same minimum distance (checked, since both enumerate the full
     search space through norm-preserving decompositions).  Pass
     ``min_match_rtol=None`` to skip the check when the inputs were
     deliberately perturbed, e.g. quantized.
     """
-    if (list1.layer, list2.layer) != (0, 1):
+    if (cand1.layer, cand2.layer) != (0, 1):
         raise ValueError("expected lists enumerating layers 0 and 1")
-    hard1, min1 = hard_decision(list1)
-    hard2, min2 = hard_decision(list2)
-    if min_match_rtol is not None and (
-        abs(min1 - min2) > min_match_rtol * max(1.0, abs(min1), abs(min2))
-    ):
-        raise ValueError(
-            f"one-sided minima disagree beyond tolerance: {min1!r} vs {min2!r}"
-        )
-    llrs = []
-    for layer, clist in ((0, list1), (1, list2)):
-        pos, neg = _partition_minima(clist, layer, constellations[layer])
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
-            raise AssertionError("bit partition empty despite full enumeration")
-        llrs.append(pos - neg)
-    hard, dmin = (hard1, min1) if min1 <= min2 else (hard2, min2)
-    return DetectionResult(
-        hard=hard,
-        dmin=dmin,
-        llr=tuple(llrs),
-        distance_mode=list1.distance_mode,
-        layers_used=(0, 1),
-    )
+    hard, dmin, hard_index = best_candidates([cand1, cand2])
+    if min_match_rtol is not None:
+        min1, min2 = cand1.distances.min(axis=1), cand2.distances.min(axis=1)
+        tol = min_match_rtol * np.maximum(1.0, np.maximum(np.abs(min1), np.abs(min2)))
+        bad = np.abs(min1 - min2) > tol
+        if bad.any():
+            t = np.argmax(bad)
+            raise ValueError(f"one-sided minima disagree beyond tolerance: "
+                             f"{float(min1[t])!r} vs {float(min2[t])!r}")
+    llrs = tuple(_llr([cand], layer, constellations[layer])
+                 for layer, cand in enumerate((cand1, cand2)))
+    if not all(np.isfinite(lam).all() for lam in llrs):
+        raise AssertionError("bit partition empty despite full enumeration")
+    return DetectionResult(hard, dmin, llrs, cand1.distance_mode, (0, 1), hard_index)
 
 
-def combine_lists(lists, constellations) -> DetectionResult:
-    """Minimum-based combining of one list per detection layer.
+def combine_batch(batches, constellations) -> DetectionResult:
+    """Minimum-based combining of one candidate batch per detection layer.
 
     The hard decision is the overall argmin across lists (ties resolve
     to the lower detection layer, then the lower enumeration index).
     Per-bit LLRs take minima across all lists' partitions; a partition
     empty in one list contributes +inf and the result stays finite
     because list n enumerates layer n exhaustively.  For two layers this
-    reduces to :func:`llr_two_sided`.
+    reduces to :func:`two_sided_batch`.
     """
-    lists = sorted(lists, key=lambda cl: cl.layer)
-    n = len(constellations)
-    if [cl.layer for cl in lists] != list(range(n)):
+    batches = sorted(batches, key=lambda cand: cand.layer)
+    if [cand.layer for cand in batches] != list(range(len(constellations))):
         raise ValueError("need exactly one list per layer")
-    modes = {cl.distance_mode for cl in lists}
+    modes = {cand.distance_mode for cand in batches}
     if len(modes) != 1:
         raise ValueError("lists mix distance modes")
+    hard, dmin, hard_index = best_candidates(batches)
+    llrs = tuple(_llr(batches, layer, c) for layer, c in enumerate(constellations))
+    return DetectionResult(hard, dmin, llrs, modes.pop(),
+                           tuple(cand.layer for cand in batches), hard_index)
 
-    hard = None
-    dmin = np.inf
-    for cl in lists:
-        h, d = hard_decision(cl)
-        if d < dmin:
-            hard, dmin = h, d
-    llrs = []
-    for layer in range(n):
-        pos = np.full(constellations[layer].bits_per_symbol, np.inf)
-        neg = pos.copy()
-        for cl in lists:
-            p, m = _partition_minima(cl, layer, constellations[layer])
-            pos = np.minimum(pos, p)
-            neg = np.minimum(neg, m)
-        llrs.append(pos - neg)
-    return DetectionResult(
-        hard=hard,
-        dmin=float(dmin),
-        llr=tuple(llrs),
-        distance_mode=modes.pop(),
-        layers_used=tuple(cl.layer for cl in lists),
-    )
+
+def _lift(clist: CandidateList, constellations) -> CandidateBatch:
+    """A list as a batch of one trial, looking up the indices of a hand-built list."""
+    cand = clist.batch()
+    if cand.index is None:
+        index = [c.point_indices(clist.symbols[:, j]) for j, c in enumerate(constellations)]
+        cand = cand._replace(index=np.stack(index, axis=1)[None])
+    return cand
+
+
+def llr_two_sided(list1: CandidateList, list2: CandidateList, constellations,
+                  min_match_rtol: float | None = 1e-9) -> DetectionResult:
+    """T=1 view of :func:`two_sided_batch`."""
+    return two_sided_batch(_lift(list1, constellations), _lift(list2, constellations),
+                           constellations, min_match_rtol).row(0)
+
+
+def combine_lists(lists, constellations) -> DetectionResult:
+    """T=1 view of :func:`combine_batch`."""
+    return combine_batch([_lift(cl, constellations) for cl in lists], constellations).row(0)

@@ -27,6 +27,7 @@ from .constellation import Constellation, make_constellation
 from .decomp import PuncturedDecomposition, ql_decompose
 from .detcore import CandidateList, detect_one_sided, detect_one_sided_batch
 from .errors import SingularChannelError
+from .llrpost import partition_minima
 
 __all__ = [
     "MU_HYPOTHESIS_ORDERS",
@@ -124,9 +125,10 @@ def _degenerate_list(s: MuScenario, l_row, y_row, hyp: Constellation) -> Candida
     symbols = np.empty((len(pts), 2), dtype=complex)
     symbols[:, 0] = pts
     symbols[:, 1] = complex(hyp.real_axis.levels[0], hyp.imag_axis.levels[0])
+    index = np.stack([np.arange(len(pts)), np.full(len(pts), hyp.level_grid[0, 0])], axis=1)
     return CandidateList(
         layer=0, perm=(0, 1), symbols=symbols, distances=resid,
-        prior_bias=np.zeros(len(pts)), dropped_const=0.0, distance_mode="L",
+        prior_bias=np.zeros(len(pts)), dropped_const=0.0, distance_mode="L", index=index,
     )
 
 
@@ -151,16 +153,9 @@ def classify_interferer(s: MuScenario) -> MuClassification:
         l_hyp[:, :, 1] *= hyp.unit_energy_scale
         tone_lists: list[CandidateList] = [None] * s.n_tones
         if good:
-            symbols, dist = detect_one_sided_batch(
-                l_hyp[good], y[good], (s.desired, hyp), perm=(0, 1)
-            )
+            cand = detect_one_sided_batch(l_hyp[good], y[good], (s.desired, hyp), perm=(0, 1))
             for j, i in enumerate(good):
-                tone_lists[i] = CandidateList(
-                    layer=0, perm=(0, 1), symbols=symbols[j], distances=dist[j],
-                    prior_bias=np.zeros(dist.shape[1]),
-                    dropped_const=float(np.sum(np.abs(y[i]) ** 2)),
-                    distance_mode="L",
-                )
+                tone_lists[i] = cand.row(j)
         for i in degenerate:
             tone_lists[i] = _degenerate_list(s, l_hyp[i], y[i], hyp)
         mins = np.array([tl.distances.min() for tl in tone_lists])
@@ -197,10 +192,7 @@ def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int,
         else:
             d = PuncturedDecomposition(w=np.eye(2), l=l[tone], layer=0, perm=(0, 1))
             clist = detect_one_sided(d, y[tone], (s.desired, hypothesis))
-    bits = s.desired.bits_of_points(clist.symbols[:, 0])
-    dist = clist.distances[:, None]
-    pos = np.min(np.where(bits == 1, dist, np.inf), axis=0)
-    neg = np.min(np.where(bits == -1, dist, np.inf), axis=0)
+    pos, neg = partition_minima(clist.distances, s.desired.point_bits[clist.index[:, 0]])
     return (pos - neg) / s.noise_var
 
 

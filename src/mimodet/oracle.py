@@ -65,6 +65,7 @@ def exhaustive_map(m, y, constellations, priors=None, budget: int = ENUM_BUDGET)
         llr=tuple(llrs),
         distance_mode="exact",
         layers_used=tuple(range(n)),
+        hard_index=idx[imin],
     )
 
 

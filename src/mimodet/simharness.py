@@ -14,6 +14,9 @@ Conventions used by every experiment here:
   per (snr index, chunk).  Either way results are independent of worker
   count and schedule, and accumulators reduce in fixed order, so a
   config + seed pins the CSV bytes.
+- Sweeps stack the per-trial draws of a 64-trial chunk and detect them
+  in one batched call (:func:`detect_batch`); a trial's result does not
+  depend on the chunk it ran in.
 - Per-trial draw order: channel, symbol indices (layer by layer),
   noise, priors.
 - Output LLRs keep the unscaled-distance convention of
@@ -29,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import make_constellation
-from .decomp import punctured_decompose, punctured_decompose_batch, transform_observation
-from .detcore import detect_one_sided, detect_one_sided_batch, rescore_candidates
+from .decomp import punctured_decompose_batch, transform_observation_batch
+from .detcore import detect_one_sided_batch, hard_slice, rescore_batch
 from .errors import ConfigError, ShadowOracleMismatch
 from .hwmodel import FixedPointFormat, quantize
-from .llrpost import DetectionResult, combine_lists, llr_two_sided
+from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
 from .mumimo import MU_HYPOTHESIS_ORDERS, MuScenario, classify_interferer
 from .oracle import ENUM_BUDGET, exhaustive_map
 from .rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_rng
@@ -43,6 +46,7 @@ __all__ = [
     "TrialStats",
     "FidelityPoint",
     "generate_channel",
+    "detect_batch",
     "detect_instance",
     "run_sweep",
     "llr_fidelity",
@@ -154,8 +158,78 @@ def generate_channel(rng: np.random.Generator, n_tx: int, n_rx: int | None = Non
     return (re + 1j * im) * np.sqrt(0.5)
 
 
-def _quantized_list(clist, fmt):
-    return dataclasses.replace(clist, distances=quantize(clist.distances, fmt))
+def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, quant):
+    """One candidate batch per detection layer 0..sides-1 for stacked trials.
+
+    Quantization, if requested, applies to the detector inputs
+    (triangular factors, transformed observations, priors, and the
+    rescoring channel) and to the candidate distances.
+    """
+    def q(v):
+        return quantize(v, quant) if quant is not None else v
+
+    if priors is not None:
+        priors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
+    n = len(constellations)
+    batches = []
+    for m in range(sides):
+        w, l = punctured_decompose_batch(h_eff, m)
+        yt = transform_observation_batch(w, y_tilde)
+        perm = tuple((m + i) % n for i in range(n))
+        cand = detect_one_sided_batch(q(l), q(yt), constellations, perm, priors)
+        if rescore:
+            cand = rescore_batch(cand, q(h_eff), q(y_tilde))
+        if quant is not None:
+            cand = cand._replace(distances=quantize(cand.distances, quant))
+        batches.append(cand)
+    return batches
+
+
+def _trial_priors(priors, t):
+    return None if priors is None else [None if lam is None else lam[t] for lam in priors]
+
+
+def detect_batch(
+    h_eff: np.ndarray,
+    y_tilde: np.ndarray,
+    constellations,
+    priors=None,
+    detector: str = "map2",
+    distance_mode: str = "L",
+    quant: FixedPointFormat | None = None,
+    budget: int = ENUM_BUDGET,
+) -> DetectionResult:
+    """Run one detector on T stacked channel instances.
+
+    ``h_eff`` (T, N, N) already carries the unit-energy scaling,
+    ``y_tilde`` is (T, N), ``priors`` None or per layer None or (T, q_n).
+    Quantization, if requested, applies to the detector inputs and the
+    candidate distances (see :func:`_candidate_batches`); the oracle
+    detector ignores it and runs trial by trial.  Returns the fields of
+    :class:`DetectionResult` with a leading trial axis.
+    """
+    h_eff = np.asarray(h_eff, dtype=complex)
+    y_tilde = np.asarray(y_tilde, dtype=complex)
+    if detector == "oracle":
+        res = [exhaustive_map(h_eff[t], y_tilde[t], constellations, _trial_priors(priors, t),
+                              budget=budget) for t in range(len(h_eff))]
+        return DetectionResult(
+            np.stack([r.hard for r in res]), np.array([r.dmin for r in res]),
+            tuple(map(np.stack, zip(*(r.llr for r in res)))), res[0].distance_mode,
+            res[0].layers_used,
+            np.stack([r.hard_index for r in res]),
+        )
+    sides = 2 if detector == "map2" else len(constellations)
+    batches = _candidate_batches(
+        h_eff, y_tilde, constellations, priors, sides,
+        detector == "wld" and distance_mode == "H", quant,
+    )
+    if detector == "map2":
+        # quantization perturbs the two sides differently, so the
+        # minima-consistency check only applies to the float path
+        rtol = None if quant is not None else 1e-9
+        return two_sided_batch(batches[0], batches[1], constellations, min_match_rtol=rtol)
+    return combine_batch(batches, constellations)
 
 
 def detect_instance(
@@ -168,115 +242,103 @@ def detect_instance(
     quant: FixedPointFormat | None = None,
     budget: int = ENUM_BUDGET,
 ) -> DetectionResult:
-    """Run one detector on one channel instance.
-
-    ``h_eff`` already carries the unit-energy scaling.  Quantization, if
-    requested, applies to the detector inputs (triangular factors,
-    transformed observations, priors, and the rescoring channel) and to
-    the candidate distances; the oracle detector ignores it.
-    """
-    n = len(constellations)
-    if detector == "oracle":
-        return exhaustive_map(h_eff, y_tilde, constellations, priors, budget=budget)
-
-    def q(v):
-        return quantize(v, quant) if quant is not None else v
-
-    qpriors = None
+    """Run one detector on one channel instance: the T=1 view of :func:`detect_batch`."""
     if priors is not None:
-        qpriors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
-
-    sides = 2 if detector == "map2" else n
-    lists = []
-    for m in range(sides):
-        d = punctured_decompose(h_eff, m)
-        yt = transform_observation(d, y_tilde)
-        dq = dataclasses.replace(d, l=q(d.l))
-        clist = detect_one_sided(dq, q(yt), constellations, qpriors)
-        if detector == "wld" and distance_mode == "H":
-            clist = rescore_candidates(clist, q(h_eff), q(y_tilde))
-        if quant is not None:
-            clist = _quantized_list(clist, quant)
-        lists.append(clist)
-    if detector == "map2":
-        # quantization perturbs the two sides differently, so the
-        # minima-consistency check only applies to the float path
-        rtol = None if quant is not None else 1e-9
-        return llr_two_sided(lists[0], lists[1], constellations, min_match_rtol=rtol)
-    return combine_lists(lists, constellations)
+        priors = [None if lam is None else np.asarray(lam, dtype=float)[None] for lam in priors]
+    return detect_batch(
+        np.asarray(h_eff, dtype=complex)[None], np.asarray(y_tilde, dtype=complex)[None],
+        constellations, priors, detector, distance_mode, quant, budget,
+    ).row(0)
 
 
 def _sigma2(snr_db: float, n_layers: int) -> float:
     return n_layers / 10.0 ** (snr_db / 10.0)
 
 
-def _sweep_trial(cfg, cons, scales, snr_idx, snr_db, trial):
-    rng = trial_rng(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)
-    n = cfg.n_layers
-    h = generate_channel(rng, n)
-    idx = [int(rng.integers(c.order)) for c in cons]
-    x = np.array([c.points[i] for c, i in zip(cons, idx)])
-    sigma2 = _sigma2(snr_db, n)
-    noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    h_eff = h * scales[None, :]
-    y_tilde = h_eff @ x + noise
-    priors = None
-    if cfg.priors_mode == "random":
-        priors = [rng.normal(0.0, cfg.priors_sigma, c.bits_per_symbol) for c in cons]
+def _chunks(n_trials, size=_SWEEP_CHUNK):
+    return [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
 
-    res = detect_instance(
-        h_eff, y_tilde, cons, priors,
+
+def _reduce_chunks(run_chunk, jobs, threads):
+    """Run chunk jobs and return their partials in job order."""
+    if threads <= 1:
+        return [run_chunk(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run_chunk, jobs))
+
+
+def _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
+    """Draw sweep trials [lo, hi) of one SNR point, one counter-based stream each.
+
+    Returns (h_eff (T, N, N), transmitted indices (T, N), y_tilde (T, N),
+    priors: None or per layer (T, q_n)).
+    """
+    n = cfg.n_layers
+    sigma2 = _sigma2(snr_db, n)
+    hs, txs, ys, lams = [], [], [], []
+    for trial in range(*bounds):
+        rng = trial_rng(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)
+        h = generate_channel(rng, n)
+        idx = [int(rng.integers(c.order)) for c in cons]
+        x = np.array([c.points[i] for c, i in zip(cons, idx)])
+        noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        h_eff = h * scales[None, :]
+        hs.append(h_eff)
+        txs.append(idx)
+        ys.append(h_eff @ x + noise)
+        if cfg.priors_mode == "random":
+            lams.append([rng.normal(0.0, cfg.priors_sigma, c.bits_per_symbol) for c in cons])
+    priors = [np.stack(lam) for lam in zip(*lams)] if lams else None
+    return np.stack(hs), np.array(txs), np.stack(ys), priors
+
+
+def _oracle_deviations(res, h, y, cons, priors):
+    """Per trial of a detected chunk: (row, detector result, oracle result, |LLR deviation|)."""
+    for j in range(len(h)):
+        det = res.row(j)
+        ora = exhaustive_map(h[j], y[j], cons, _trial_priors(priors, j))
+        yield j, det, ora, np.abs(np.concatenate(det.llr) - np.concatenate(ora.llr))
+
+
+def _sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
+    """Detect one chunk and return its (vector, symbol, bit errors, LLR deviation
+    sum, LLR count) partials and LLR deviation maximum."""
+    h, tx, y, priors = _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds)
+    res = detect_batch(
+        h, y, cons, priors,
         detector=cfg.detector, distance_mode=cfg.distance_mode, quant=cfg.quant,
     )
-
-    llr_dev_sum = 0.0
-    llr_dev_max = 0.0
-    llr_count = 0
-    if cfg.shadow_oracle:
-        ora = exhaustive_map(h_eff, y_tilde, cons, priors)
+    devs = []
+    checked = _oracle_deviations(res, h, y, cons, priors) if cfg.shadow_oracle else ()
+    for j, det, ora, dev in checked:
+        key = {"snr_db": snr_db, "snr_idx": snr_idx, "trial": bounds[0] + j,
+               "seed": cfg.master_seed}
         if cfg.detector == "map2":
-            det_llr = np.concatenate(res.llr)
-            ora_llr = np.concatenate(ora.llr)
-            dev = np.abs(det_llr - ora_llr)
-            tol = cfg.shadow_rtol * np.maximum(1.0, np.abs(ora_llr))
-            if np.any(dev > tol) or not np.array_equal(res.hard, ora.hard):
+            tol = cfg.shadow_rtol * np.maximum(1.0, np.abs(np.concatenate(ora.llr)))
+            if np.any(dev > tol) or not np.array_equal(det.hard, ora.hard):
                 raise ShadowOracleMismatch(
                     "detector disagrees with exhaustive oracle",
-                    record={
-                        "snr_db": snr_db, "trial": trial, "seed": cfg.master_seed,
-                        "detector": cfg.detector, "max_dev": float(dev.max()),
-                    },
+                    record={**key, "detector": cfg.detector, "max_dev": float(dev.max())},
                 )
-            llr_dev_sum = float(dev.sum())
-            llr_dev_max = float(dev.max())
-            llr_count = len(dev)
-        else:
-            # candidate lists can only over-estimate the exact minimum
-            if res.dmin < ora.dmin - cfg.shadow_rtol * max(1.0, abs(ora.dmin)):
-                raise ShadowOracleMismatch(
-                    "candidate-list minimum beats the exhaustive minimum",
-                    record={"snr_db": snr_db, "trial": trial, "seed": cfg.master_seed},
-                )
+            devs.append(dev)
+        # candidate lists can only over-estimate the exact minimum
+        elif det.dmin < ora.dmin - cfg.shadow_rtol * max(1.0, abs(ora.dmin)):
+            raise ShadowOracleMismatch(
+                "candidate-list minimum beats the exhaustive minimum", record=key,
+            )
 
-    sym_err = int(np.sum(res.hard != x))
-    vec_err = int(sym_err > 0)
-    bit_err = 0
-    for i, c in enumerate(cons):
-        bit_err += int(np.sum(c.bits_of_points(res.hard[i]) != c.point_bits[idx[i]]))
-    return vec_err, sym_err, bit_err, llr_dev_sum, llr_dev_max, llr_count
-
-
-def _reduce_chunks(run_chunk, n_trials, threads):
-    """Run chunk jobs and fold their partials in fixed chunk order."""
-    bounds = [(lo, min(lo + _SWEEP_CHUNK, n_trials)) for lo in range(0, n_trials, _SWEEP_CHUNK)]
-    if threads <= 1:
-        return [run_chunk(b) for b in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_chunk, bounds))
+    sym_err = res.hard_index != tx
+    bit_err = sum(
+        int(np.sum(c.point_bits[res.hard_index[:, i]] != c.point_bits[tx[:, i]]))
+        for i, c in enumerate(cons)
+    )
+    acc = np.array([np.sum(np.any(sym_err, axis=1)), np.sum(sym_err), bit_err,
+                    sum(float(d.sum()) for d in devs), sum(len(d) for d in devs)], dtype=float)
+    return acc, max((float(d.max()) for d in devs), default=0.0)
 
 
 def run_sweep(cfg: SimConfig) -> list[TrialStats]:
-    """Full Monte-Carlo sweep over the configured SNR grid."""
+    """Full Monte-Carlo sweep over the configured SNR grid, detected chunk by chunk."""
     cfg.validate()
     cons = tuple(make_constellation(q) for q in cfg.mods)
     scales = np.array([c.unit_energy_scale for c in cons])
@@ -285,15 +347,9 @@ def run_sweep(cfg: SimConfig) -> list[TrialStats]:
     stats = []
     for snr_idx, snr_db in enumerate(cfg.snr_db):
         def run_chunk(bounds, _snr_idx=snr_idx, _snr_db=snr_db):
-            acc = np.zeros(5)
-            dev_max = 0.0
-            for t in range(*bounds):
-                v, s, b, dsum, dmax, dcnt = _sweep_trial(cfg, cons, scales, _snr_idx, _snr_db, t)
-                acc += (v, s, b, dsum, dcnt)
-                dev_max = max(dev_max, dmax)
-            return acc, dev_max
+            return _sweep_chunk(cfg, cons, scales, _snr_idx, _snr_db, bounds)
 
-        parts = _reduce_chunks(run_chunk, cfg.trials, cfg.threads)
+        parts = _reduce_chunks(run_chunk, _chunks(cfg.trials), cfg.threads)
         total = np.zeros(5)
         dev_max = 0.0
         for acc, dmax in parts:
@@ -337,36 +393,16 @@ def llr_fidelity(cfg: SimConfig) -> list[FidelityPoint]:
     points = []
     for snr_idx, snr_db in enumerate(cfg.snr_db):
         def run_chunk(bounds, _snr_idx=snr_idx, _snr_db=snr_db):
-            dev_sum = 0.0
-            dev_max = 0.0
-            count = 0
-            for t in range(*bounds):
-                rng = trial_rng(cfg.master_seed, _snr_idx, t, CONTEXT_SWEEP)
-                n = cfg.n_layers
-                h = generate_channel(rng, n)
-                idx = [int(rng.integers(c.order)) for c in cons]
-                x = np.array([c.points[i] for c, i in zip(cons, idx)])
-                sigma2 = _sigma2(_snr_db, n)
-                noise = np.sqrt(sigma2 / 2.0) * (
-                    rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                )
-                h_eff = h * scales[None, :]
-                y_tilde = h_eff @ x + noise
-                priors = None
-                if cfg.priors_mode == "random":
-                    priors = [rng.normal(0.0, cfg.priors_sigma, c.bits_per_symbol) for c in cons]
-                det = detect_instance(
-                    h_eff, y_tilde, cons, priors,
-                    detector=cfg.detector, distance_mode=cfg.distance_mode, quant=cfg.quant,
-                )
-                ora = exhaustive_map(h_eff, y_tilde, cons, priors)
-                dev = np.abs(np.concatenate(det.llr) - np.concatenate(ora.llr))
-                dev_sum += float(dev.sum())
-                dev_max = max(dev_max, float(dev.max()))
-                count += len(dev)
-            return dev_sum, dev_max, count
+            h, _, y, priors = _draw_sweep_chunk(cfg, cons, scales, _snr_idx, _snr_db, bounds)
+            det = detect_batch(
+                h, y, cons, priors,
+                detector=cfg.detector, distance_mode=cfg.distance_mode, quant=cfg.quant,
+            )
+            devs = [dev for *_, dev in _oracle_deviations(det, h, y, cons, priors)]
+            return (sum(float(d.sum()) for d in devs), max(float(d.max()) for d in devs),
+                    sum(len(d) for d in devs))
 
-        parts = _reduce_chunks(run_chunk, cfg.trials, cfg.threads)
+        parts = _reduce_chunks(run_chunk, _chunks(cfg.trials), cfg.threads)
         dev_sum = sum(p[0] for p in parts)
         dev_max = max(p[1] for p in parts)
         count = sum(p[2] for p in parts)
@@ -418,15 +454,6 @@ def draw_uncoded_chunk(master_seed, snr_idx, chunk_idx, snr_db, constellations, 
     return h_eff, x, y_tilde
 
 
-def _slice_nearest_batch(axis, z, beta):
-    """Nearest-level slicing of z (T, C) with per-trial scaling beta (T,)."""
-    if axis.size == 1:
-        return np.zeros_like(z)
-    bounds = beta[:, None] * ((axis.levels[:-1] + axis.levels[1:]) / 2.0)[None, :]
-    idx = np.sum(bounds[:, None, :] <= z[:, :, None], axis=2)
-    return axis.levels[idx]
-
-
 def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarray:
     """Exact zero-prior ML hard decisions over stacked trials.
 
@@ -451,16 +478,15 @@ def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarra
     xc = np.stack([g.reshape(-1) for g in grids], axis=1)  # (C, n-1)
     last = constellations[-1]
     out = np.empty((t, n), dtype=complex)
-    for lo in range(0, t, chunk):
-        hi = min(lo + chunk, t)
+    for lo, hi in _chunks(t, chunk):
         lch = l[lo:hi]
         ych = yt[lo:hi]
         head = ych[:, None, : n - 1] - np.einsum("tij,cj->tci", lch[:, : n - 1, : n - 1], xc)
         d = np.sum(head.real * head.real + head.imag * head.imag, axis=2)
         z = ych[:, None, n - 1] - np.einsum("tj,cj->tc", lch[:, n - 1, : n - 1], xc)
         beta = lch[:, n - 1, n - 1].real
-        xr = _slice_nearest_batch(last.real_axis, z.real, beta)
-        xi = _slice_nearest_batch(last.imag_axis, z.imag, beta)
+        xr = hard_slice(last.real_axis, z.real, beta[:, None])
+        xi = hard_slice(last.imag_axis, z.imag, beta[:, None])
         d += (z.real - beta[:, None] * xr) ** 2 + (z.imag - beta[:, None] * xi) ** 2
         k = np.argmin(d, axis=1)
         rows = np.arange(hi - lo)
@@ -480,30 +506,11 @@ def wld_hard_batch(h_eff, y_tilde, constellations, chunk: int = 2048) -> np.ndar
     y_tilde = np.asarray(y_tilde, dtype=complex)
     t, n, _ = h_eff.shape
     out = np.empty((t, n), dtype=complex)
-    for lo in range(0, t, chunk):
-        hi = min(lo + chunk, t)
-        hch = h_eff[lo:hi]
-        ych = y_tilde[lo:hi]
-        best_d = None
-        best_sym = None
-        for m in range(n):
-            w, l = punctured_decompose_batch(hch, m)
-            yt = np.einsum("tji,tj->ti", w.conj(), ych)
-            perm = tuple((m + i) % n for i in range(n))
-            sym, _ = detect_one_sided_batch(l, yt, constellations, perm)
-            resid = ych[:, None, :] - np.einsum("tij,tqj->tqi", hch, sym)
-            dh = np.sum(resid.real * resid.real + resid.imag * resid.imag, axis=2)
-            k = np.argmin(dh, axis=1)
-            rows = np.arange(hi - lo)
-            dmin = dh[rows, k]
-            smin = sym[rows, k]
-            if best_d is None:
-                best_d, best_sym = dmin, smin
-            else:
-                upd = dmin < best_d
-                best_d = np.where(upd, dmin, best_d)
-                best_sym = np.where(upd[:, None], smin, best_sym)
-        out[lo:hi] = best_sym
+    for lo, hi in _chunks(t, chunk):
+        batches = _candidate_batches(
+            h_eff[lo:hi], y_tilde[lo:hi], constellations, None, n, True, None
+        )
+        out[lo:hi] = best_candidates(batches)[0]
     return out
 
 
@@ -535,15 +542,8 @@ def uncoded_ver_point(
             errs[name] = int(np.sum(np.any(hard != x, axis=1)))
         return errs
 
-    parts = _reduce_chunks_jobs(run_chunk, chunks, threads)
+    parts = _reduce_chunks(run_chunk, chunks, threads)
     return {name: sum(p[name] for p in parts) / trials for name in detectors}
-
-
-def _reduce_chunks_jobs(run_chunk, jobs, threads):
-    if threads <= 1:
-        return [run_chunk(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_chunk, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +591,6 @@ def mu_classification_rates(
                 correct[s_idx] += int(cls.chosen.order == interferer_order)
         return correct
 
-    bounds = [(lo, min(lo + _SWEEP_CHUNK, scenarios)) for lo in range(0, scenarios, _SWEEP_CHUNK)]
-    parts = _reduce_chunks_jobs(run_chunk, bounds, threads)
+    parts = _reduce_chunks(run_chunk, _chunks(scenarios), threads)
     totals = np.sum(parts, axis=0)
     return [c / scenarios for c in totals]

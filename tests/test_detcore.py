@@ -14,6 +14,7 @@ from mimodet import (
     punctured_decompose,
     rescore_candidates,
     soft_slice,
+    split_prior,
     transform_observation,
 )
 from mimodet.detcore import detect_one_sided_batch
@@ -226,6 +227,7 @@ def test_detect_matches_per_entry_bruteforce_with_priors():
 
 
 def test_detect_mode_equivalence_bit_exact():
+    # every sliced level of every candidate equals the brute-force axis argmin
     rng = RNG(15)
     cons = tuple(make_constellation(q) for q in (16, 4, 64))
     for trial in range(40):
@@ -234,10 +236,24 @@ def test_detect_mode_equivalence_bit_exact():
         priors = [rng.normal(0, 2, c.bits_per_symbol) for c in cons]
         d = punctured_decompose(h, trial % 3)
         y = transform_observation(d, yt)
-        a = detect_one_sided(d, y, cons, priors, mode="slicer")
-        b = detect_one_sided(d, y, cons, priors, mode="exhaustive")
-        assert np.array_equal(a.symbols, b.symbols)
-        assert np.array_equal(a.distances, b.distances)
+        cl = detect_one_sided(d, y, cons, priors)
+        k = distance_constants(d.l, y)
+        x1 = cl.symbols[:, d.layer]
+        for i in range(1, 3):
+            layer = d.perm[i]
+            c = cons[layer]
+            lam_re, lam_im = split_prior(c, priors[layer])
+            u_re = k.cross_re[i - 1] * x1.real + k.cross_im[i - 1] * x1.imag
+            u_im = k.cross_re[i - 1] * x1.imag - k.cross_im[i - 1] * x1.real
+            for q in range(len(cl)):
+                want_re = exhaustive_axis_argmin(
+                    c.real_axis, k.slice_quad[i - 1], k.slice_lin_re[i - 1], u_re[q], lam_re
+                )
+                want_im = exhaustive_axis_argmin(
+                    c.imag_axis, k.slice_quad[i - 1], k.slice_lin_im[i - 1], u_im[q], lam_im
+                )
+                assert cl.symbols[q, layer] == complex(want_re, want_im)
+                assert cl.index[q, layer] == c.point_indices(cl.symbols[q, layer])
 
 
 @settings(max_examples=30, deadline=None)
@@ -279,8 +295,6 @@ def test_detect_input_validation():
     with pytest.raises(ValueError):
         detect_one_sided(d, np.zeros(3, dtype=complex), cons)
     with pytest.raises(ValueError):
-        detect_one_sided(d, np.zeros(2, dtype=complex), cons, mode="fast")
-    with pytest.raises(ValueError):
         detect_one_sided(d, np.zeros(2, dtype=complex), cons, priors=[np.zeros(3), None])
 
 
@@ -295,7 +309,7 @@ def test_batch_kernel_bit_exact_vs_scalar():
         ys.append(transform_observation(d, crandn(rng, 4)))
     l = np.stack(ls)
     y = np.stack(ys)
-    sym, dist = detect_one_sided_batch(l, y, cons, perm=(1, 2, 3, 0))
+    sym, dist = detect_one_sided_batch(l, y, cons, perm=(1, 2, 3, 0))[:2]
     for t in range(20):
         d = PuncturedDecomposition(w=np.eye(4, dtype=complex), l=l[t], layer=1, perm=(1, 2, 3, 0))
         cl = detect_one_sided(d, y[t], cons)

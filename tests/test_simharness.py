@@ -4,11 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from mimodet import ConfigError, FixedPointFormat, make_constellation
+from mimodet import ConfigError, FixedPointFormat, ShadowOracleMismatch, make_constellation
 from mimodet.cli import main as cli_main
 from mimodet.rng import trial_rng
 from mimodet.simharness import (
     SimConfig,
+    _draw_sweep_chunk,
+    detect_batch,
+    detect_instance,
     draw_uncoded_chunk,
     generate_channel,
     llr_fidelity,
@@ -284,3 +287,60 @@ def test_cli_exit_code_on_shadow_mismatch(monkeypatch, capsys):
     ])
     assert code == 3
     assert "shadow-oracle mismatch" in capsys.readouterr().err
+    # the record names the (seed, snr_idx, trial) key that replays the trial
+    def low_oracle(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, dmin=res.dmin + 10.0)
+
+    for detector, distance_mode, oracle in (("map2", "L", skewed_oracle), ("wld", "H", low_oracle)):
+        monkeypatch.setattr(sh, "exhaustive_map", oracle)
+        cfg = SimConfig(
+            n_layers=2, mods=(4, 4), snr_db=(10.0, 12.0), trials=3, detector=detector,
+            distance_mode=distance_mode, master_seed=4, shadow_oracle=True,
+        )
+        with pytest.raises(ShadowOracleMismatch) as info:
+            run_sweep(cfg)
+        record = info.value.record
+        assert (record["seed"], record["snr_idx"], record["trial"]) == (4, 0, 0)
+
+
+def test_cli_exit_code_on_degenerate_channel(monkeypatch, capsys):
+    import mimodet.simharness as sh
+
+    monkeypatch.setattr(sh, "generate_channel", lambda rng, n: np.ones((n, n), dtype=complex))
+    code = cli_main([
+        "--layers", "2", "--mods", "4,4", "--snr", "10", "--trials", "5", "--detector", "map2",
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("channel error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["map2_priors", "wld_h"])
+def test_chunk_rows_equal_detect_instance(case):
+    # the sweep's batched chunk gives every trial exactly its T=1 result
+    cfg = {
+        "map2_priors": SimConfig(
+            n_layers=2, mods=(64, 16), snr_db=(12.0,), trials=40, detector="map2",
+            priors_mode="random", priors_sigma=1.5, master_seed=3,
+        ),
+        "wld_h": SimConfig(
+            n_layers=4, mods=(16, 4, 16, 4), snr_db=(14.0,), trials=40, detector="wld",
+            distance_mode="H", master_seed=3,
+        ),
+    }[case]
+    cons = tuple(make_constellation(q) for q in cfg.mods)
+    scales = np.array([c.unit_energy_scale for c in cons])
+    h, tx, y, priors = _draw_sweep_chunk(cfg, cons, scales, 0, cfg.snr_db[0], (0, cfg.trials))
+    res = detect_batch(h, y, cons, priors, detector=cfg.detector,
+                       distance_mode=cfg.distance_mode)
+    for t in range(cfg.trials):
+        one = detect_instance(h[t], y[t], cons, None if priors is None else [p[t] for p in priors],
+                              detector=cfg.detector, distance_mode=cfg.distance_mode)
+        row = res.row(t)
+        assert np.array_equal(row.hard, one.hard)
+        assert np.array_equal(row.hard_index, one.hard_index)
+        assert row.dmin == one.dmin
+        for a, b in zip(row.llr, one.llr):
+            assert np.array_equal(a, b)
+        assert np.array_equal(cons[0].points[one.hard_index[0]], one.hard[0])
