@@ -14,11 +14,19 @@ from mimodet.simharness import uncoded_ver_point
 
 
 def snr_at_rate(grid, rates, level):
-    lr = np.log10(rates)
+    """SNR where the rate curve crosses ``level``, interpolated in log rate.
+
+    Returns None when no grid interval brackets the level, or when the
+    bracketing interval has a zero rate (no errors seen), whose log
+    cannot be interpolated.
+    """
     target = np.log10(level)
     for i in range(len(grid) - 1):
-        if lr[i] >= target >= lr[i + 1]:
-            f = (lr[i] - target) / (lr[i] - lr[i + 1])
+        if rates[i] >= level >= rates[i + 1]:
+            if rates[i + 1] <= 0:
+                return None
+            l0, l1 = np.log10(rates[i]), np.log10(rates[i + 1])
+            f = (l0 - target) / (l0 - l1)
             return grid[i] + f * (grid[i + 1] - grid[i])
     return None
 

@@ -454,12 +454,81 @@ def draw_uncoded_chunk(master_seed, snr_idx, chunk_idx, snr_db, constellations, 
     return h_eff, x, y_tilde
 
 
+def _fix_layer(l, i, tr, d, r, x, radius):
+    """Fix layer i of a stack of search states and prune.
+
+    A state is its trial ``tr``, partial distance ``d`` and residual ``r``
+    (rows i..n-1 of y - Lx over the layers fixed so far); ``x`` holds k
+    candidate symbols per state, (S, k) or (1, k).  Each child adds
+    |r_i - l_ii x|^2 in real arithmetic and is dropped when that exceeds
+    ``radius[tr]``; survivors subtract L[i+1:, i] x from their remaining
+    rows.  Returns (parent, candidate, d, r) of the survivors in C order
+    of (state, candidate).
+    """
+    e = r[:, :1] - l[tr, i, i].real[:, None] * x
+    d = d[:, None] + (e.real * e.real + e.imag * e.imag)
+    # not "d <= radius": a NaN state (singular channel) stays aligned with its trial
+    s, k = np.nonzero(~(d > radius[tr][:, None]))
+    xs = np.broadcast_to(x, d.shape)[s, k]
+    return s, k, d[s, k], r[s, 1:] - l[tr[s], i + 1:, i] * xs[:, None]
+
+
+def _slice_layer(l, i, tr, r, c):
+    """Nearest symbol of layer i for each state, as an (S, 1) column."""
+    beta = l[tr, i, i].real[:, None]
+    z = r[:, :1]
+    return hard_slice(c.real_axis, z.real, beta) + 1j * hard_slice(c.imag_axis, z.imag, beta)
+
+
+def _ml_search(l, yt, constellations):
+    """Exact ML hard decisions for lower-triangular L and y~ (see ml_hard_batch)."""
+    t, n = yt.shape
+    every = np.arange(t)
+    radius = np.full(t, np.inf)
+    d, r = np.zeros(t), yt
+    for i, c in enumerate(constellations):  # SIC (Babai) point
+        _, _, d, r = _fix_layer(l, i, every, d, r, _slice_layer(l, i, every, r, c), radius)
+    radius = d
+    tr, d, r, prefix = every, np.zeros(t), yt, np.zeros(t, dtype=np.int64)
+    for i, c in enumerate(constellations[:-1]):
+        s, k, d, r = _fix_layer(l, i, tr, d, r, c.points[None, :], radius)
+        tr, prefix = tr[s], prefix[s] * c.order + k
+    x_last = _slice_layer(l, n - 1, tr, r, constellations[-1])
+    s, _, d, _ = _fix_layer(l, n - 1, tr, d, r, x_last, radius)
+    tr, prefix, x_last = tr[s], prefix[s], x_last[s, 0]
+    # survivors are in (trial, prefix) order and lexsort is stable, so the
+    # first row of each trial is its lowest-prefix minimizer
+    order = np.lexsort((d, tr))
+    win = order[np.r_[True, np.diff(tr[order]) != 0]]
+    out = np.empty((t, n), dtype=complex)
+    heads = np.unravel_index(prefix[win], [c.order for c in constellations[:-1]])
+    for j, idx in enumerate(heads):
+        out[tr[win], j] = constellations[j].points[idx]
+    out[tr[win], n - 1] = x_last[win]
+    return out
+
+
 def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarray:
     """Exact zero-prior ML hard decisions over stacked trials.
 
-    Enumerates the first N-1 layers against the triangular factor and
-    slices the last, which is exact because slicing realizes the
-    per-hypothesis minimum when priors are zero.
+    With H = Q L (L lower triangular, real positive diagonal) the metric
+    ||y - Hx||^2 is ||Q^H y - Lx||^2, and row i of L x depends on layers
+    0..i only, so the metric is a sum of per-row partial distances.  A
+    breadth-first search fixes layers 0..n-2 one at a time over every
+    symbol and slices the last layer, which realizes the minimum over it
+    when priors are zero.
+
+    The search is pruned at a per-trial radius: the metric of the SIC
+    (Babai) point, which slices every layer in turn.  That point is
+    feasible, so its metric bounds the ML metric; it is computed with
+    the same row step as the search, so its partial sums are the
+    search's own, bit for bit.  A partial distance never decreases as
+    layers are added, so dropping a state only when its distance is
+    greater than the radius keeps every minimizer, ties included.
+    Ties go to the lowest enumeration index of the first n-1 layers
+    (layer 0 most significant), then, on the sliced last layer, to the
+    upper level of an exact midpoint.  ``chunk`` trials are searched at
+    a time, which only caps the memory of the search frontier.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
@@ -473,25 +542,9 @@ def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarra
     l = l * phase.conj()[:, :, None]
     q = q * phase[:, None, :]
     yt = np.einsum("tji,tj->ti", q.conj(), y_tilde)
-
-    grids = np.meshgrid(*[c.points for c in constellations[:-1]], indexing="ij")
-    xc = np.stack([g.reshape(-1) for g in grids], axis=1)  # (C, n-1)
-    last = constellations[-1]
     out = np.empty((t, n), dtype=complex)
     for lo, hi in _chunks(t, chunk):
-        lch = l[lo:hi]
-        ych = yt[lo:hi]
-        head = ych[:, None, : n - 1] - np.einsum("tij,cj->tci", lch[:, : n - 1, : n - 1], xc)
-        d = np.sum(head.real * head.real + head.imag * head.imag, axis=2)
-        z = ych[:, None, n - 1] - np.einsum("tj,cj->tc", lch[:, n - 1, : n - 1], xc)
-        beta = lch[:, n - 1, n - 1].real
-        xr = hard_slice(last.real_axis, z.real, beta[:, None])
-        xi = hard_slice(last.imag_axis, z.imag, beta[:, None])
-        d += (z.real - beta[:, None] * xr) ** 2 + (z.imag - beta[:, None] * xi) ** 2
-        k = np.argmin(d, axis=1)
-        rows = np.arange(hi - lo)
-        out[lo:hi, : n - 1] = xc[k]
-        out[lo:hi, n - 1] = xr[rows, k] + 1j * xi[rows, k]
+        out[lo:hi] = _ml_search(l[lo:hi], yt[lo:hi], constellations)
     return out
 
 

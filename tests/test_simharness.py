@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,38 @@ def test_batch_detectors_match_library_path():
         assert np.array_equal(res.hard, hard_wld[t])
         ora = exhaustive_map(h[t], y[t], cons)
         assert np.array_equal(ora.hard, hard_ml[t])
+    # ML on more shapes; the low-SNR points are where the search prunes least
+    ml_cases = [
+        ((4,) * 4, 0.0), ((4,) * 4, 16.0), ((16,) * 4, 10.0), ((16,) * 4, 22.0),
+        ((4, 16, 64), 12.0), ((16, 64), 12.0), ((2, 4, 16), 8.0),
+    ]
+    for k, (mods, snr) in enumerate(ml_cases):
+        cons = tuple(make_constellation(q) for q in mods)
+        h, x, y = draw_uncoded_chunk(80 + k, 0, 0, snr, cons, 24)
+        hard_ml = ml_hard_batch(h, y, cons)
+        for t in range(len(h)):
+            assert np.array_equal(exhaustive_map(h[t], y[t], cons).hard, hard_ml[t]), (mods, snr, t)
+    # exact ties: midpoints on layer 0 (several minimisers) and on the sliced last layer
+    cons = (make_constellation(16),) * 4
+    ys = np.array([[y0, 1 + 1j, 3 - 1j, 0] for y0 in (0, 2, 2 + 2j, -2j)])
+    hs = np.broadcast_to(np.eye(4, dtype=complex), (len(ys), 4, 4))
+    hard_ml = ml_hard_batch(hs, ys, cons)
+    for t in range(len(ys)):
+        assert np.array_equal(exhaustive_map(hs[t], ys[t], cons).hard, hard_ml[t]), ys[t]
+
+
+@pytest.mark.parametrize("snr,limit_mib", [(16.0, 40.0), (0.0, 112.7)])
+def test_ml_batch_peak_memory(snr, limit_mib):
+    # 112.7 MiB is the peak of this call when every one of the 16^3 prefixes is scored
+    cons = (make_constellation(16),) * 4
+    h, _, y = draw_uncoded_chunk(5, 0, 0, snr, cons, 256)
+    tracemalloc.start()
+    try:
+        ml_hard_batch(h, y, cons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 def test_ml_batch_beats_or_matches_wld():
