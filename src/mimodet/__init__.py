@@ -19,7 +19,6 @@ from .decomp import (
     PuncturedDecomposition,
     QLDecomp,
     ql_decompose,
-    ql_decompose_flipped,
     punctured_decompose,
     transform_observation,
 )

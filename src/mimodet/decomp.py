@@ -1,7 +1,8 @@
 """QL triangularization and punctured (projection-based) decompositions.
 
-``ql_decompose`` factors H = Q L with Q unitary and L lower triangular
-with positive real diagonal, which makes the factorization unique.
+``ql_decompose_batch`` factors stacked channels H = Q L with Q unitary
+and L lower triangular with positive real diagonal, which makes the
+factorization unique; ``ql_decompose`` is its T=1 view.
 
 ``punctured_decompose_batch`` produces, for stacked channels, W, L with
 W*H_perm = L where L is lower triangular with every row n >= 2 zeroed
@@ -24,7 +25,7 @@ __all__ = [
     "QLDecomp",
     "PuncturedDecomposition",
     "ql_decompose",
-    "ql_decompose_flipped",
+    "ql_decompose_batch",
     "punctured_decompose",
     "punctured_decompose_batch",
     "transform_observation",
@@ -59,38 +60,34 @@ class PuncturedDecomposition:
 
 
 def ql_decompose(h: np.ndarray) -> QLDecomp:
-    """Factor a square full-rank H as Q L (unitary x lower triangular)."""
-    h = np.asarray(h, dtype=complex)
-    n, m = h.shape
-    if n != m:
-        raise ValueError("ql_decompose expects a square matrix")
-    # QR of the doubly flipped matrix gives QL of the original.
-    qf, rf = np.linalg.qr(h[::-1, ::-1])
-    q = qf[::-1, ::-1]
-    l = rf[::-1, ::-1]
-    diag = np.diagonal(l).copy()
-    scale = np.linalg.norm(h)
-    if np.any(np.abs(diag) <= SINGULAR_RTOL * max(scale, np.finfo(float).tiny)):
-        raise SingularChannelError("channel matrix is numerically rank deficient")
-    phase = diag / np.abs(diag)
-    l = l * phase.conj()[:, None]
-    q = q * phase[None, :]
-    np.fill_diagonal(l, np.abs(diag))
-    return QLDecomp(q, l)
+    """Factor a square full-rank H as Q L (the T=1 view of :func:`ql_decompose_batch`)."""
+    q, l = ql_decompose_batch(np.asarray(h, dtype=complex)[None])
+    return QLDecomp(q[0], l[0])
 
 
-def ql_decompose_flipped(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 factorization with the zero in the upper-left of the factor.
+def ql_decompose_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QL factors of stacked square channels h (T, N, N): H = Q L.
 
-    Returns (Q', L') with L' = [[0, a'], [b', c']], a', b' real positive,
-    so enumerating layer 2 decouples layer 1.  Equivalent to QL of the
-    column-swapped matrix with the factor's columns swapped back.
+    Q is unitary and L lower triangular with a real positive diagonal.
+    Raises when any instance is numerically rank deficient.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError("ql_decompose_flipped expects a 2x2 matrix")
-    qd = ql_decompose(h[:, ::-1])
-    return qd.q, qd.l[:, ::-1]
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("ql_decompose expects a square matrix")
+    # QR of the doubly flipped matrix gives QL of the original.
+    qf, rf = np.linalg.qr(h[:, ::-1, ::-1])
+    q = qf[:, ::-1, ::-1]
+    l = rf[:, ::-1, ::-1]
+    diag = np.diagonal(l, axis1=1, axis2=2)
+    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), np.finfo(float).tiny)
+    if np.any(np.abs(diag) <= SINGULAR_RTOL * scale[:, None]):
+        raise SingularChannelError("channel matrix is numerically rank deficient")
+    phase = diag / np.abs(diag)
+    l = l * phase.conj()[:, :, None]
+    q = q * phase[:, None, :]
+    n = h.shape[1]
+    l[:, np.arange(n), np.arange(n)] = np.abs(diag)
+    return q, l
 
 
 def _puncture_sets(n: int) -> list[list[int]]:

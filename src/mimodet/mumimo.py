@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import Constellation, make_constellation
-from .decomp import PuncturedDecomposition, ql_decompose
-from .detcore import CandidateList, detect_one_sided, detect_one_sided_batch
+from .decomp import ql_decompose_batch
+from .detcore import CandidateBatch, detect_one_sided_batch
 from .errors import SingularChannelError
 from .llrpost import partition_minima
 
@@ -73,6 +73,8 @@ class MuScenario:
         if noise_var <= 0:
             raise ValueError("noise_var must be positive")
         hyps = tuple(make_constellation(q) for q in sorted(hypothesis_orders))
+        if not hyps:
+            raise ValueError("hypothesis_orders must name at least one constellation")
         return cls(channels, observations, desired, hyps, float(noise_var))
 
     @property
@@ -85,87 +87,66 @@ class MuClassification:
     chosen: Constellation
     scores: dict[int, float]  # hypothesis order -> penalized score
     distance_sums: dict[int, float]  # hypothesis order -> sum of per-tone minima
-    lists: dict[int, list[CandidateList]] = field(repr=False)
+    lists: dict[int, CandidateBatch] = field(repr=False)  # order -> one row per tone
 
 
 def _tone_factors(s: MuScenario):
     """Per-tone QL factors of the desired-scaled channel, interferer unscaled.
 
-    Returns (l (K,2,2), y (K,2), degenerate tone indices).  A vanishing
-    interferer column is tolerated (interference-free tone); a vanishing
-    desired column makes the tone undetectable and raises.
+    Returns (l (K,2,2), y (K,2)) with ||y - l x||^2 = ||observation - H x||^2
+    on every tone.  A vanishing interferer column is tolerated
+    (interference-free tone): l = [[|h1|, 0], [0, 0]] and y holds the
+    observation's component along h1 and the norm of the rest.  A
+    vanishing desired column makes the tone undetectable and raises.
     """
-    k = s.n_tones
-    s_des = s.desired.unit_energy_scale
-    l = np.zeros((k, 2, 2), dtype=complex)
-    y = np.zeros((k, 2), dtype=complex)
-    degenerate = []
-    for i in range(k):
-        h1 = s.channels[i, :, 0] * s_des
-        h2 = s.channels[i, :, 1]
-        scale = max(np.linalg.norm(s.channels[i]), np.finfo(float).tiny)
-        if np.linalg.norm(h1) <= _DEGENERATE_RTOL * scale:
-            raise SingularChannelError(f"desired-user column vanishes on tone {i}")
-        if np.linalg.norm(h2) <= _DEGENERATE_RTOL * scale:
-            degenerate.append(i)
-            l[i, 0, 0] = np.linalg.norm(h1)
-            y[i, 0] = (h1.conj() / l[i, 0, 0].real) @ s.observations[i]
-            continue
-        qd = ql_decompose(np.stack([h1, h2], axis=1))
-        l[i] = qd.l
-        y[i] = qd.q.conj().T @ s.observations[i]
-    return l, y, degenerate
+    h = s.channels.copy()
+    h[:, :, 0] *= s.desired.unit_energy_scale
+    obs = s.observations
+    scale = np.maximum(np.linalg.norm(s.channels, axis=(1, 2)), np.finfo(float).tiny)
+    norm1, norm2 = np.linalg.norm(h, axis=1).T
+    dead = np.flatnonzero(norm1 <= _DEGENERATE_RTOL * scale)
+    if dead.size:
+        raise SingularChannelError(f"desired-user column vanishes on tone {dead[0]}")
+    free = norm2 <= _DEGENERATE_RTOL * scale
+    l = np.zeros_like(h)
+    y = np.zeros_like(obs)
+    q, l[~free] = ql_decompose_batch(h[~free])
+    y[~free] = (q.conj().transpose(0, 2, 1) @ obs[~free, :, None])[:, :, 0]
+    u = h[free, :, 0] / norm1[free, None]
+    y[free, 0] = np.sum(u.conj() * obs[free], axis=1)
+    y[free, 1] = np.linalg.norm(obs[free] - u * y[free, 0, None], axis=1)
+    l[free, 0, 0] = norm1[free]
+    return l, y
 
 
-def _degenerate_list(s: MuScenario, l_row, y_row, hyp: Constellation) -> CandidateList:
-    # interference-free tone: distances reduce to single-user demapping
-    pts = s.desired.points
-    alpha = l_row[0, 0].real
-    resid = np.abs(y_row[0] - alpha * pts) ** 2 + np.abs(y_row[1]) ** 2
-    symbols = np.empty((len(pts), 2), dtype=complex)
-    symbols[:, 0] = pts
-    symbols[:, 1] = complex(hyp.real_axis.levels[0], hyp.imag_axis.levels[0])
-    index = np.stack([np.arange(len(pts)), np.full(len(pts), hyp.level_grid[0, 0])], axis=1)
-    return CandidateList(
-        layer=0, perm=(0, 1), symbols=symbols, distances=resid,
-        prior_bias=np.zeros(len(pts)), dropped_const=0.0, distance_mode="L", index=index,
-    )
+def _hypothesis_batch(s: MuScenario, l, y, hyp: Constellation) -> CandidateBatch:
+    """Candidate lists of every tone under one interferer hypothesis.
+
+    The desired symbol is enumerated and the interferer sliced with zero
+    priors; the interferer scaling acts on column 1 of the factor.
+    """
+    l_hyp = l.copy()
+    l_hyp[:, :, 1] *= hyp.unit_energy_scale
+    return detect_one_sided_batch(l_hyp, y, (s.desired, hyp), perm=(0, 1))
 
 
 def classify_interferer(s: MuScenario) -> MuClassification:
     """Score every interferer hypothesis over the window and pick the best.
 
-    Per-tone candidate lists (desired symbol enumerated, interferer
-    sliced, zero priors) are computed once per hypothesis and returned
-    for reuse by :func:`mu_llr`.
+    The tones' candidate lists are computed as one batch per hypothesis
+    and returned for reuse by :func:`mu_llr`.
     """
-    l, y, degenerate = _tone_factors(s)
-    deg_set = set(degenerate)
-    good = [i for i in range(s.n_tones) if i not in deg_set]
-
+    l, y = _tone_factors(s)
     scores: dict[int, float] = {}
     sums: dict[int, float] = {}
-    lists: dict[int, list[CandidateList]] = {}
-    chosen = None
+    lists: dict[int, CandidateBatch] = {}
     for hyp in s.hypotheses:
-        # interferer scaling acts on column 1 of the triangular factor
-        l_hyp = l.copy()
-        l_hyp[:, :, 1] *= hyp.unit_energy_scale
-        tone_lists: list[CandidateList] = [None] * s.n_tones
-        if good:
-            cand = detect_one_sided_batch(l_hyp[good], y[good], (s.desired, hyp), perm=(0, 1))
-            for j, i in enumerate(good):
-                tone_lists[i] = cand.row(j)
-        for i in degenerate:
-            tone_lists[i] = _degenerate_list(s, l_hyp[i], y[i], hyp)
-        mins = np.array([tl.distances.min() for tl in tone_lists])
-        dist_sum = float(np.sum(mins))
-        score = s.n_tones * np.log(hyp.order) + dist_sum / s.noise_var
-        scores[hyp.order] = score
+        cand = _hypothesis_batch(s, l, y, hyp)
+        dist_sum = float(np.sum(cand.distances.min(axis=1)))
+        scores[hyp.order] = s.n_tones * np.log(hyp.order) + dist_sum / s.noise_var
         sums[hyp.order] = dist_sum
-        lists[hyp.order] = tone_lists
-        if chosen is None or score < scores[chosen.order]:
-            chosen = hyp
+        lists[hyp.order] = cand
+    chosen = min(s.hypotheses, key=lambda hyp: scores[hyp.order])
     return MuClassification(chosen, scores, sums, lists)
 
 
@@ -183,16 +164,10 @@ def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int,
     if hypothesis.order not in orders:
         raise ValueError(f"hypothesis {hypothesis.scheme.name} not in the allowed set")
     if classification is not None and hypothesis.order in classification.lists:
-        clist = classification.lists[hypothesis.order][tone]
+        cand = classification.lists[hypothesis.order]
     else:
-        l, y, degenerate = _tone_factors(s)
-        l[:, :, 1] *= hypothesis.unit_energy_scale
-        if tone in degenerate:
-            clist = _degenerate_list(s, l[tone], y[tone], hypothesis)
-        else:
-            d = PuncturedDecomposition(w=np.eye(2), l=l[tone], layer=0, perm=(0, 1))
-            clist = detect_one_sided(d, y[tone], (s.desired, hypothesis))
-    pos, neg = partition_minima(clist.distances, s.desired.point_bits[clist.index[:, 0]])
+        cand = _hypothesis_batch(s, *_tone_factors(s), hypothesis)
+    pos, neg = partition_minima(cand.distances[tone], s.desired.point_bits[cand.index[tone, :, 0]])
     return (pos - neg) / s.noise_var
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import make_constellation
-from .decomp import punctured_decompose_batch, transform_observation_batch
+from .decomp import punctured_decompose_batch, ql_decompose_batch, transform_observation_batch
 from .detcore import detect_one_sided_batch, hard_slice, rescore_batch
 from .errors import ConfigError, ShadowOracleMismatch
 from .hwmodel import FixedPointFormat, quantize
@@ -467,7 +467,8 @@ def _fix_layer(l, i, tr, d, r, x, radius):
     """
     e = r[:, :1] - l[tr, i, i].real[:, None] * x
     d = d[:, None] + (e.real * e.real + e.imag * e.imag)
-    # not "d <= radius": a NaN state (singular channel) stays aligned with its trial
+    # not "d <= radius": NaN states (non-finite inputs; singular channels raise
+    # before the search) survive, so every trial keeps a row of output
     s, k = np.nonzero(~(d > radius[tr][:, None]))
     xs = np.broadcast_to(x, d.shape)[s, k]
     return s, k, d[s, k], r[s, 1:] - l[tr[s], i + 1:, i] * xs[:, None]
@@ -528,19 +529,13 @@ def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarra
     Ties go to the lowest enumeration index of the first n-1 layers
     (layer 0 most significant), then, on the sliced last layer, to the
     upper level of an exact midpoint.  ``chunk`` trials are searched at
-    a time, which only caps the memory of the search frontier.
+    a time, which only caps the memory of the search frontier.  Raises
+    SingularChannelError when any channel is rank deficient.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
     t, n, _ = h_eff.shape
-    # batched QL via QR of the doubly flipped stack
-    qf, rf = np.linalg.qr(h_eff[:, ::-1, ::-1])
-    q = qf[:, ::-1, ::-1]
-    l = rf[:, ::-1, ::-1]
-    diag = np.diagonal(l, axis1=1, axis2=2)
-    phase = diag / np.abs(diag)
-    l = l * phase.conj()[:, :, None]
-    q = q * phase[:, None, :]
+    q, l = ql_decompose_batch(h_eff)
     yt = np.einsum("tji,tj->ti", q.conj(), y_tilde)
     out = np.empty((t, n), dtype=complex)
     for lo, hi in _chunks(t, chunk):

@@ -5,11 +5,10 @@ from mimodet import (
     DegenerateChannelError,
     SingularChannelError,
     ql_decompose,
-    ql_decompose_flipped,
     punctured_decompose,
     transform_observation,
 )
-from mimodet.decomp import punctured_decompose_batch
+from mimodet.decomp import punctured_decompose_batch, ql_decompose_batch
 
 
 def crandn(rng, *shape):
@@ -75,40 +74,39 @@ def test_ql_singular_raises():
         ql_decompose(np.ones((2, 3), dtype=complex))
 
 
-def test_flipped_antidiagonal():
-    q, l = ql_decompose_flipped(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(l, [[0, 1], [1, 0]])
-    assert np.allclose(q, np.eye(2))
+def test_ql_batch_rows_equal_single_factorizations():
+    rng = np.random.default_rng(9)
+    h = crandn(rng, 8, 3, 3)
+    q, l = ql_decompose_batch(h)
+    for t in range(len(h)):
+        qd = ql_decompose(h[t])
+        assert np.array_equal(q[t], qd.q) and np.array_equal(l[t], qd.l)
+    h[5] = np.ones((3, 3))
+    with pytest.raises(SingularChannelError):
+        ql_decompose_batch(h)
 
 
-def test_flipped_identity():
-    q, l = ql_decompose_flipped(np.eye(2, dtype=complex))
-    assert l[0, 0] == 0
-    assert abs(l[0, 1]) == pytest.approx(1.0)
-    assert l[0, 1].imag == 0 and l[1, 0].imag == 0
-
-
-def test_flipped_matches_swapped_gram_schmidt():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        h = crandn(rng, 2, 2)
-        q, l = ql_decompose_flipped(h)
-        qo, lo = gram_schmidt_ql(h[:, ::-1])
-        assert np.allclose(q, qo, rtol=1e-9, atol=1e-11)
-        assert np.allclose(l, lo[:, ::-1], rtol=1e-9, atol=1e-11)
-        # anti-triangular shape with real positive pivots
-        assert abs(l[0, 0]) <= 1e-12 * np.linalg.norm(h)
-        assert l[0, 1].real > 0 and l[1, 0].real > 0
-
-
-def test_punctured_two_layers_equals_ql():
+@pytest.mark.parametrize("layer", [0, 1])
+def test_punctured_two_layers_equals_ql(layer):
+    # layer 0 is the QL factorization of H; layer 1, the second
+    # triangularization, is the QL factorization of the column-swapped H
     rng = np.random.default_rng(4)
     for _ in range(100):
         h = crandn(rng, 2, 2)
-        d = punctured_decompose(h, 0)
-        qd = ql_decompose(h)
-        assert np.allclose(d.l, qd.l, rtol=1e-12, atol=1e-12 * np.linalg.norm(h))
-        assert np.allclose(d.w, qd.q, rtol=1e-12, atol=1e-12)
+        scale = np.linalg.norm(h)
+        d = punctured_decompose(h, layer)
+        if layer == 0:
+            qd = ql_decompose(h)
+            assert np.allclose(d.l, qd.l, rtol=1e-12, atol=1e-12 * scale)
+            assert np.allclose(d.w, qd.q, rtol=1e-12, atol=1e-12)
+        else:
+            qo, lo = gram_schmidt_ql(h[:, ::-1])
+            assert np.allclose(d.l, lo, rtol=1e-9, atol=1e-11 * scale)
+            assert np.allclose(d.w, qo, rtol=1e-9, atol=1e-11)
+        # triangular with real positive pivots
+        assert abs(d.l[0, 1]) <= 1e-12 * scale
+        diag = np.diagonal(d.l)
+        assert np.all(diag.real > 0) and np.all(diag.imag == 0)
 
 
 def test_punctured_identity_channel():

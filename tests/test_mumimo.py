@@ -32,6 +32,8 @@ def test_scenario_validation():
         MuScenario.create(np.zeros((2, 2, 2)), np.zeros((3, 2)), 64, 0.1)
     with pytest.raises(ValueError):
         MuScenario.create(np.zeros((2, 2, 2)), np.zeros((2, 2)), 64, 0.0)
+    with pytest.raises(ValueError):
+        MuScenario.create(np.zeros((2, 2, 2)), np.zeros((2, 2)), 64, 0.1, hypothesis_orders=())
 
 
 def test_penalty_identity():
@@ -66,30 +68,32 @@ def test_noiseless_classification_is_exact(interf):
         assert classify_interferer(s).chosen.order == interf
 
 
+def bruteforce_distances(s, hyp, k):
+    """||y - H x||^2 on tone k for every (desired, interferer) point pair."""
+    h, y = s.channels[k], s.observations[k]
+    x1 = s.desired.points * s.desired.unit_energy_scale
+    x2 = hyp.points * hyp.unit_energy_scale
+    resid = y - h[:, 0] * x1[:, None, None] - h[:, 1] * x2[None, :, None]
+    return np.sum(np.abs(resid) ** 2, axis=2)
+
+
+def bruteforce_llr(s, hyp, k):
+    per1 = bruteforce_distances(s, hyp, k).min(axis=1) / s.noise_var
+    bits = s.desired.point_bits
+    return np.array([
+        per1[bits[:, j] == 1].min() - per1[bits[:, j] == -1].min()
+        for j in range(s.desired.bits_per_symbol)
+    ])
+
+
 def test_mu_llr_matches_bruteforce():
     rng = np.random.default_rng(1)
     s = draw_scenario(rng, 6, 16, 4, 0.05)
     cls = classify_interferer(s)
     intf = make_constellation(4)
-    s_des = s.desired.unit_energy_scale
-    s_int = intf.unit_energy_scale
     for k in range(s.n_tones):
-        lam = mu_llr(s, intf, k, cls)
-        h, y = s.channels[k], s.observations[k]
-        d = np.array([
-            [
-                np.sum(np.abs(y - h[:, 0] * s_des * p1 - h[:, 1] * s_int * p2) ** 2)
-                for p2 in intf.points
-            ]
-            for p1 in s.desired.points
-        ]) / s.noise_var
-        per1 = d.min(axis=1)
-        bits = s.desired.point_bits
-        ref = np.array([
-            per1[bits[:, j] == 1].min() - per1[bits[:, j] == -1].min()
-            for j in range(s.desired.bits_per_symbol)
-        ])
-        assert np.allclose(lam, ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(mu_llr(s, intf, k, cls), bruteforce_llr(s, intf, k),
+                           rtol=1e-9, atol=1e-9)
 
 
 def test_mu_llr_without_cached_classification():
@@ -98,7 +102,7 @@ def test_mu_llr_without_cached_classification():
     cls = classify_interferer(s)
     intf = make_constellation(16)
     for k in range(s.n_tones):
-        assert np.allclose(mu_llr(s, intf, k), mu_llr(s, intf, k, cls))
+        assert np.array_equal(mu_llr(s, intf, k), mu_llr(s, intf, k, cls))
 
 
 def test_mu_llr_zero_noise_sign():
@@ -135,6 +139,19 @@ def test_degenerate_interferer_reduces_to_single_user():
         d_su[bits[:, j] == 1].min() - d_su[bits[:, j] == -1].min() for j in range(2)
     ])
     assert np.allclose(lam, ref, rtol=1e-9)
+
+    # a window mixing interference-free and factored tones
+    s = draw_scenario(rng, 6, 16, 16, 0.1)
+    h = s.channels.copy()
+    h[2, :, 1] = 0
+    s = MuScenario.create(h, s.observations, s.desired, s.noise_var)
+    cls = classify_interferer(s)
+    for hyp in s.hypotheses:
+        want = sum(bruteforce_distances(s, hyp, k).min() for k in range(s.n_tones))
+        assert cls.distance_sums[hyp.order] == pytest.approx(want, rel=1e-9)
+        for k in range(s.n_tones):
+            assert np.allclose(mu_llr(s, hyp, k, cls), bruteforce_llr(s, hyp, k),
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_vanishing_desired_column_raises():

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mimodet import ConfigError, FixedPointFormat, ShadowOracleMismatch, make_constellation
+from mimodet import (
+    ConfigError,
+    FixedPointFormat,
+    ShadowOracleMismatch,
+    SingularChannelError,
+    make_constellation,
+)
 from mimodet.cli import main as cli_main
 from mimodet.rng import trial_rng
 from mimodet.simharness import (
@@ -231,6 +237,14 @@ def test_ml_batch_peak_memory(snr, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+def test_ml_batch_rejects_a_singular_channel_in_the_stack():
+    cons = (make_constellation(16),) * 4
+    h, _, y = draw_uncoded_chunk(3, 0, 0, 16.0, cons, 4)
+    h[1] = np.ones((4, 4))
+    with pytest.raises(SingularChannelError):
+        ml_hard_batch(h, y, cons)
 
 
 def test_ml_batch_beats_or_matches_wld():
