@@ -10,9 +10,7 @@ from .constellation import (
     Constellation,
     ModScheme,
     PamAxis,
-    demap_symbol,
     make_constellation,
-    map_bits,
     split_prior,
 )
 from .decomp import (
@@ -28,7 +26,6 @@ from .detcore import (
     SlicerTable,
     build_slicer_table,
     detect_one_sided,
-    distance_constants,
     hard_slice,
     rescore_candidates,
     soft_slice,
@@ -50,7 +47,7 @@ from .hwmodel import (
     count_distinct_terms,
     quantize,
 )
-from .llrpost import DetectionResult, combine_lists, hard_decision, llr_two_sided
+from .llrpost import DetectionResult, combine_lists, llr_two_sided
 from .mumimo import (
     MuClassification,
     MuScenario,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 shadow-oracle mismatch,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -36,11 +37,14 @@ _SQUARE_TARGETS = tuple(k * k for k in range(3, 16, 2))
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ConfigError(f"SNR grid must be 'value' or 'start:step:stop', got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("SNR values must be finite")
+    if len(values) == 1:
+        return (values[0],)
+    start, step, stop = values
     if step <= 0:
         raise ConfigError("SNR step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -62,6 +66,15 @@ def _parse_priors(text: str) -> tuple[str, float]:
     if text.startswith("random:"):
         return "random", float(text.split(":", 1)[1])
     raise ConfigError(f"priors must be 'zero' or 'random:<sigma>', got {text!r}")
+
+
+def _check_out(path: str | None) -> None:
+    """Reject an output path that cannot be written, before any trial runs."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise ConfigError(f"cannot write output file {path!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +128,7 @@ def _cmd_sweep(args) -> int:
         threads=args.threads,
         shadow_oracle=args.shadow_oracle,
     )
-    cfg.validate()
+    _check_out(args.out)
     stats = run_sweep(cfg)
     for st in stats:
         print(f"snr={st.snr_db:g} dB  ser={st.ser:.6g}  ber={st.ber:.6g}  trials={st.trials}")
@@ -132,7 +145,10 @@ def _cmd_mumimo(args) -> int:
             raise ConfigError(f"interferer order {q} not in hypothesis set {MU_HYPOTHESIS_ORDERS}")
     if args.k < 1 or args.trials < 1:
         raise ConfigError("k and trials must be positive")
+    if args.threads < 1:
+        raise ConfigError("threads must be >= 1")
     make_constellation(args.desired)
+    _check_out(args.out)
 
     lines = ["snr_db,k,desired,interferer,trials,correct_rate,seed"]
     for q in interferers:
@@ -192,7 +208,7 @@ def main(argv=None) -> int:
         if args.command == "mumimo":
             return _cmd_mumimo(args)
         return _cmd_tables(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ShadowOracleMismatch as exc:

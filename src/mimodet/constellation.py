@@ -1,4 +1,4 @@
-"""Gray-mapped QAM/PAM constellations and bit-vector (de)mapping.
+"""Gray-mapped QAM/PAM constellations, their bit tables and prior splitting.
 
 Square QAM symbols factor into two independent PAM axes: even-position
 bits select the real level and odd-position bits the imaginary level,
@@ -15,7 +15,7 @@ scheme uniformly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "PamAxis",
     "Constellation",
     "make_constellation",
-    "map_bits",
-    "demap_symbol",
     "split_prior",
 ]
 
@@ -108,11 +106,6 @@ class PamAxis:
 
     levels: np.ndarray  # (P,) float64
     bits: np.ndarray  # (P, t) int8 over {-1, +1}
-    _index_of: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        lookup = {float(lv): i for i, lv in enumerate(self.levels)}
-        object.__setattr__(self, "_index_of", lookup)
 
     @property
     def size(self) -> int:
@@ -121,12 +114,6 @@ class PamAxis:
     @property
     def bits_per_level(self) -> int:
         return self.bits.shape[1]
-
-    def index_of(self, level: float) -> int:
-        try:
-            return self._index_of[float(level)]
-        except KeyError:
-            raise ValueError(f"{level} is not a level of this axis") from None
 
     def indices_of(self, levels: np.ndarray) -> np.ndarray:
         """Vectorized index lookup; levels must be exact axis values."""
@@ -261,28 +248,6 @@ def _level_indices(axis: PamAxis, bits: np.ndarray) -> np.ndarray:
     if np.any(matches.sum(axis=-1) != 1):
         raise ValueError(f"no axis level for bit vector {bits}")
     return np.argmax(matches, axis=-1)
-
-
-def map_bits(c: Constellation, bits) -> complex:
-    """Map a q-long {-1,+1} bit vector to its constellation point."""
-    bits = np.asarray(bits, dtype=np.int8)
-    if bits.shape != (c.bits_per_symbol,):
-        raise ValueError(
-            f"expected {c.bits_per_symbol} bits for {c.scheme.name}, got shape {bits.shape}"
-        )
-    re = c.real_axis.levels[_level_indices(c.real_axis, bits[c.real_bit_idx])]
-    im = c.imag_axis.levels[_level_indices(c.imag_axis, bits[c.imag_bit_idx])]
-    return complex(re, im)
-
-
-def demap_symbol(c: Constellation, x: complex) -> np.ndarray:
-    """Exact inverse of :func:`map_bits`; raises if x is not a point."""
-    re_i = c.real_axis.index_of(x.real)
-    im_i = c.imag_axis.index_of(x.imag)
-    bits = np.empty(c.bits_per_symbol, dtype=np.int8)
-    bits[c.real_bit_idx] = c.real_axis.bits[re_i]
-    bits[c.imag_bit_idx] = c.imag_axis.bits[im_i]
-    return bits
 
 
 def split_prior(c: Constellation, lam) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,6 @@ the lower level / lower enumeration index.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +38,6 @@ from .decomp import PuncturedDecomposition
 
 __all__ = [
     "DistanceConstants",
-    "distance_constants",
     "hard_slice",
     "SlicerTable",
     "build_slicer_table",
@@ -55,17 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DistanceConstants:
-    """Scalars of the expanded distance form for one decomposition.
+    """Coefficients of the expanded distance form for T decompositions.
 
-    ``enum_*`` multiply the enumerated layer's coordinates, ``slice_*``
-    and ``cross_*`` (arrays over the sliced layers, index n-2) feed the
-    per-layer axis metrics.  The batched kernel holds the same fields
-    with a leading trial axis.
+    ``enum_*`` (T,) multiply the enumerated layer's coordinates,
+    ``slice_*`` and ``cross_*`` (T, N-1) feed the per-layer axis
+    metrics of the sliced layers (column n-1 for layer n).
     """
 
-    enum_quad: float  # alpha^2 + sum |c_n|^2
-    enum_lin_re: float  # -2(alpha y1re + sum(c_nre y_nre + c_nim y_nim))
-    enum_lin_im: float  # -2(alpha y1im + sum(c_nre y_nim - c_nim y_nre))
+    enum_quad: np.ndarray  # alpha^2 + sum |c_n|^2
+    enum_lin_re: np.ndarray  # -2(alpha y1re + sum(c_nre y_nre + c_nim y_nim))
+    enum_lin_im: np.ndarray  # -2(alpha y1im + sum(c_nre y_nim - c_nim y_nre))
     slice_quad: np.ndarray  # beta_n^2
     cross_re: np.ndarray  # +2 beta_n c_nre
     cross_im: np.ndarray  # -2 beta_n c_nim
@@ -74,6 +71,7 @@ class DistanceConstants:
 
 
 def _constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
+    """Constants of the expanded distance form from (punctured) L (T, N, N) and y (T, N)."""
     alpha = l[:, 0, 0].real
     cre = l[:, 1:, 0].real
     cim = l[:, 1:, 0].imag
@@ -92,17 +90,6 @@ def _constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
         slice_lin_re=-2.0 * beta * yre1,
         slice_lin_im=-2.0 * beta * yim1,
     )
-
-
-def distance_constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
-    """Constants of the expanded distance form from (punctured) L and y."""
-    l = np.asarray(l, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    n = l.shape[0]
-    if l.shape != (n, n) or y.shape != (n,):
-        raise ValueError("inconsistent decomposition dimensions")
-    k = _constants(l[None], y[None])
-    return DistanceConstants(*(getattr(k, f.name)[0] for f in dataclasses.fields(k)))
 
 
 def _locate(breakpoints, u):
@@ -236,7 +223,7 @@ class CandidateList:
     b(x)'lam after rescoring.  ``dropped_const`` (= |y|^2) is the term
     the expanded form drops; subtracting it recovers the relative form.
     ``index`` (Q, N) holds each symbol's index into its layer's
-    constellation points; hand-built lists may leave it None.
+    constellation points.
     """
 
     layer: int
@@ -246,16 +233,15 @@ class CandidateList:
     prior_bias: np.ndarray
     dropped_const: float
     distance_mode: str  # "L" | "H"
-    index: np.ndarray | None = None
+    index: np.ndarray
 
     def __len__(self):
         return len(self.distances)
 
     def batch(self) -> "CandidateBatch":
         """This list as a batch of one trial."""
-        index = None if self.index is None else self.index[None]
         return CandidateBatch(
-            self.symbols[None], self.distances[None], self.prior_bias[None], index,
+            self.symbols[None], self.distances[None], self.prior_bias[None], self.index[None],
             np.array([self.dropped_const]), self.layer, self.perm, self.distance_mode,
         )
 
@@ -266,17 +252,16 @@ class CandidateBatch(NamedTuple):
     symbols: np.ndarray  # (T, Q, N)
     distances: np.ndarray  # (T, Q)
     prior_bias: np.ndarray  # (T, Q)
-    index: np.ndarray | None  # (T, Q, N)
+    index: np.ndarray  # (T, Q, N)
     dropped_const: np.ndarray  # (T,)
     layer: int
     perm: tuple[int, ...]
     distance_mode: str
 
     def row(self, t: int) -> CandidateList:
-        index = None if self.index is None else self.index[t]
         return CandidateList(
             self.layer, self.perm, self.symbols[t], self.distances[t], self.prior_bias[t],
-            float(self.dropped_const[t]), self.distance_mode, index,
+            float(self.dropped_const[t]), self.distance_mode, self.index[t],
         )
 
 

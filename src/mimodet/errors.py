@@ -14,7 +14,7 @@ class DegenerateChannelError(MimoDetError):
 
 
 class EnumerationBudgetError(MimoDetError):
-    """Requested exhaustive enumeration exceeds the configured budget."""
+    """Requested exhaustive enumeration exceeds the enumeration budget."""
 
 
 class ConfigError(MimoDetError):

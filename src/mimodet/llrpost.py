@@ -20,8 +20,8 @@ import numpy as np
 
 from .detcore import CandidateBatch, CandidateList
 
-__all__ = ["DetectionResult", "hard_decision", "llr_two_sided", "combine_lists",
-           "two_sided_batch", "combine_batch"]
+__all__ = ["DetectionResult", "llr_two_sided", "combine_lists", "two_sided_batch",
+           "combine_batch"]
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class DetectionResult:
         """Trial t of a batched result."""
         return DetectionResult(self.hard[t], float(self.dmin[t]), tuple(lam[t] for lam in self.llr),
                                self.distance_mode, self.layers_used, self.hard_index[t])
-
-
-def hard_decision(clist: CandidateList) -> tuple[np.ndarray, float]:
-    """Minimum-distance entry; equal distances resolve to the lower index."""
-    if len(clist) == 0:
-        raise ValueError("empty candidate list")
-    i = int(np.argmin(clist.distances))
-    return clist.symbols[i], float(clist.distances[i])
 
 
 def partition_minima(distances: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,22 +133,11 @@ def combine_batch(batches, constellations) -> DetectionResult:
                            tuple(cand.layer for cand in batches), hard_index)
 
 
-def _lift(clist: CandidateList, constellations) -> CandidateBatch:
-    """A list as a batch of one trial, looking up the indices of a hand-built list."""
-    cand = clist.batch()
-    if cand.index is None:
-        index = [c.point_indices(clist.symbols[:, j]) for j, c in enumerate(constellations)]
-        cand = cand._replace(index=np.stack(index, axis=1)[None])
-    return cand
-
-
-def llr_two_sided(list1: CandidateList, list2: CandidateList, constellations,
-                  min_match_rtol: float | None = 1e-9) -> DetectionResult:
-    """T=1 view of :func:`two_sided_batch`."""
-    return two_sided_batch(_lift(list1, constellations), _lift(list2, constellations),
-                           constellations, min_match_rtol).row(0)
+def llr_two_sided(list1: CandidateList, list2: CandidateList, constellations) -> DetectionResult:
+    """T=1 view of :func:`two_sided_batch`, with the minima-consistency check."""
+    return two_sided_batch(list1.batch(), list2.batch(), constellations).row(0)
 
 
 def combine_lists(lists, constellations) -> DetectionResult:
     """T=1 view of :func:`combine_batch`."""
-    return combine_batch([_lift(cl, constellations) for cl in lists], constellations).row(0)
+    return combine_batch([cl.batch() for cl in lists], constellations).row(0)

@@ -39,6 +39,7 @@ __all__ = [
     "count_distance_evals",
 ]
 
+# ascending: an exact tie in score goes to the smaller constellation
 MU_HYPOTHESIS_ORDERS = (4, 16, 64, 256)
 
 _DEGENERATE_RTOL = 1e-10
@@ -60,8 +61,7 @@ class MuScenario:
     noise_var: float
 
     @classmethod
-    def create(cls, channels, observations, desired, noise_var,
-               hypothesis_orders=MU_HYPOTHESIS_ORDERS) -> "MuScenario":
+    def create(cls, channels, observations, desired, noise_var) -> "MuScenario":
         channels = np.asarray(channels, dtype=complex)
         observations = np.asarray(observations, dtype=complex)
         if channels.ndim != 3 or channels.shape[1:] != (2, 2) or channels.shape[0] < 1:
@@ -70,11 +70,9 @@ class MuScenario:
             raise ValueError("observations must be (K, 2)")
         if not isinstance(desired, Constellation):
             desired = make_constellation(desired)
-        if noise_var <= 0:
-            raise ValueError("noise_var must be positive")
-        hyps = tuple(make_constellation(q) for q in sorted(hypothesis_orders))
-        if not hyps:
-            raise ValueError("hypothesis_orders must name at least one constellation")
+        if not 0 < noise_var < np.inf:
+            raise ValueError("noise_var must be positive and finite")
+        hyps = tuple(make_constellation(q) for q in MU_HYPOTHESIS_ORDERS)
         return cls(channels, observations, desired, hyps, float(noise_var))
 
     @property

@@ -17,7 +17,7 @@ __all__ = ["exhaustive_map", "exhaustive_axis_argmin", "ENUM_BUDGET"]
 ENUM_BUDGET = 2**24
 
 
-def exhaustive_map(m, y, constellations, priors=None, budget: int = ENUM_BUDGET) -> DetectionResult:
+def exhaustive_map(m, y, constellations, priors=None) -> DetectionResult:
     """Exact minimum-distance detection by full enumeration.
 
     Minimizes d(x) = ||y - Mx||^2 - b(x)'lam over the symbol grid, where
@@ -25,15 +25,16 @@ def exhaustive_map(m, y, constellations, priors=None, budget: int = ENUM_BUDGET)
     accordingly.  Enumeration is lexicographic over layer-major bit
     patterns, which fixes the argmin on ties.  Also returns every
     per-bit LLR (min over the +1 partition minus min over the -1
-    partition).
+    partition).  Raises EnumerationBudgetError beyond ``ENUM_BUDGET``
+    hypotheses.
     """
     m = np.asarray(m, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n = len(constellations)
     orders = [c.order for c in constellations]
     total = int(np.prod(orders))
-    if total > budget:
-        raise EnumerationBudgetError(f"{total} hypotheses exceed budget {budget}")
+    if total > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"{total} hypotheses exceed budget {ENUM_BUDGET}")
 
     grids = np.meshgrid(*[np.arange(q) for q in orders], indexing="ij")
     idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (total, N)

@@ -37,7 +37,7 @@ from .detcore import detect_one_sided_batch, hard_slice, rescore_batch
 from .errors import ConfigError, ShadowOracleMismatch
 from .hwmodel import FixedPointFormat, quantize
 from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
-from .mumimo import MU_HYPOTHESIS_ORDERS, MuScenario, classify_interferer
+from .mumimo import MuScenario, classify_interferer
 from .oracle import ENUM_BUDGET, exhaustive_map
 from .rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_rng
 
@@ -62,6 +62,11 @@ CONTEXT_BATCH = 1
 
 _DETECTORS = ("map2", "wld", "oracle")
 _SWEEP_CHUNK = 64
+_ML_CHUNK = 256  # trials per exact-ML search; caps the frontier's memory
+_WLD_CHUNK = 2048  # trials per wld detection call; caps the candidate lists' memory
+_VER_CHUNK = 2048  # trials per counter-based stream of a batched VER point
+# relative tolerance of the shadow oracle's LLR and minimum-distance checks
+_SHADOW_RTOL = 1e-6
 _CSV_COLUMNS = (
     "snr_db", "trials", "ser", "ber", "llr_mae", "llr_max",
     "detector", "distance_mode", "n_layers", "mods", "seed",
@@ -83,7 +88,6 @@ class SimConfig:
     out_path: str | None = None
     threads: int = 1
     shadow_oracle: bool = False
-    shadow_rtol: float = 1e-6
 
     def validate(self) -> None:
         if not 2 <= self.n_layers <= 4:
@@ -97,6 +101,8 @@ class SimConfig:
             raise ConfigError(str(exc)) from None
         if not self.snr_db:
             raise ConfigError("empty SNR grid")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ConfigError("SNR values must be finite")
         if len(self.snr_db) >= 1 << 16:
             raise ConfigError("SNR grid too long")
         if self.trials < 1:
@@ -111,8 +117,8 @@ class SimConfig:
             raise ConfigError("distance_mode=H applies to detector=wld only")
         if self.priors_mode not in ("zero", "random"):
             raise ConfigError("priors_mode must be zero or random")
-        if self.priors_mode == "random" and self.priors_sigma <= 0:
-            raise ConfigError("priors_mode=random needs priors_sigma > 0")
+        if self.priors_mode == "random" and not 0 < self.priors_sigma < np.inf:
+            raise ConfigError("priors_mode=random needs a finite priors_sigma > 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         total = int(np.prod(self.mods))
@@ -150,11 +156,10 @@ class FidelityPoint:
     llr_max: float
 
 
-def generate_channel(rng: np.random.Generator, n_tx: int, n_rx: int | None = None) -> np.ndarray:
-    """i.i.d. CN(0,1) channel matrix, real part drawn before imaginary."""
-    n_rx = n_tx if n_rx is None else n_rx
-    re = rng.standard_normal((n_rx, n_tx))
-    im = rng.standard_normal((n_rx, n_tx))
+def generate_channel(rng: np.random.Generator, n: int) -> np.ndarray:
+    """i.i.d. CN(0,1) n x n channel matrix, real part drawn before imaginary."""
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
     return (re + 1j * im) * np.sqrt(0.5)
 
 
@@ -197,7 +202,6 @@ def detect_batch(
     detector: str = "map2",
     distance_mode: str = "L",
     quant: FixedPointFormat | None = None,
-    budget: int = ENUM_BUDGET,
 ) -> DetectionResult:
     """Run one detector on T stacked channel instances.
 
@@ -211,8 +215,8 @@ def detect_batch(
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
     if detector == "oracle":
-        res = [exhaustive_map(h_eff[t], y_tilde[t], constellations, _trial_priors(priors, t),
-                              budget=budget) for t in range(len(h_eff))]
+        res = [exhaustive_map(h_eff[t], y_tilde[t], constellations, _trial_priors(priors, t))
+               for t in range(len(h_eff))]
         return DetectionResult(
             np.stack([r.hard for r in res]), np.array([r.dmin for r in res]),
             tuple(map(np.stack, zip(*(r.llr for r in res)))), res[0].distance_mode,
@@ -240,14 +244,13 @@ def detect_instance(
     detector: str = "map2",
     distance_mode: str = "L",
     quant: FixedPointFormat | None = None,
-    budget: int = ENUM_BUDGET,
 ) -> DetectionResult:
     """Run one detector on one channel instance: the T=1 view of :func:`detect_batch`."""
     if priors is not None:
         priors = [None if lam is None else np.asarray(lam, dtype=float)[None] for lam in priors]
     return detect_batch(
         np.asarray(h_eff, dtype=complex)[None], np.asarray(y_tilde, dtype=complex)[None],
-        constellations, priors, detector, distance_mode, quant, budget,
+        constellations, priors, detector, distance_mode, quant,
     ).row(0)
 
 
@@ -314,7 +317,7 @@ def _sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
         key = {"snr_db": snr_db, "snr_idx": snr_idx, "trial": bounds[0] + j,
                "seed": cfg.master_seed}
         if cfg.detector == "map2":
-            tol = cfg.shadow_rtol * np.maximum(1.0, np.abs(np.concatenate(ora.llr)))
+            tol = _SHADOW_RTOL * np.maximum(1.0, np.abs(np.concatenate(ora.llr)))
             if np.any(dev > tol) or not np.array_equal(det.hard, ora.hard):
                 raise ShadowOracleMismatch(
                     "detector disagrees with exhaustive oracle",
@@ -322,7 +325,7 @@ def _sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
                 )
             devs.append(dev)
         # candidate lists can only over-estimate the exact minimum
-        elif det.dmin < ora.dmin - cfg.shadow_rtol * max(1.0, abs(ora.dmin)):
+        elif det.dmin < ora.dmin - _SHADOW_RTOL * max(1.0, abs(ora.dmin)):
             raise ShadowOracleMismatch(
                 "candidate-list minimum beats the exhaustive minimum", record=key,
             )
@@ -509,7 +512,7 @@ def _ml_search(l, yt, constellations):
     return out
 
 
-def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarray:
+def ml_hard_batch(h_eff, y_tilde, constellations) -> np.ndarray:
     """Exact zero-prior ML hard decisions over stacked trials.
 
     With H = Q L (L lower triangular, real positive diagonal) the metric
@@ -528,8 +531,8 @@ def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarra
     greater than the radius keeps every minimizer, ties included.
     Ties go to the lowest enumeration index of the first n-1 layers
     (layer 0 most significant), then, on the sliced last layer, to the
-    upper level of an exact midpoint.  ``chunk`` trials are searched at
-    a time, which only caps the memory of the search frontier.  Raises
+    upper level of an exact midpoint.  Trials are searched 256 at a
+    time, which only caps the memory of the search frontier.  Raises
     SingularChannelError when any channel is rank deficient.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
@@ -538,23 +541,24 @@ def ml_hard_batch(h_eff, y_tilde, constellations, chunk: int = 256) -> np.ndarra
     q, l = ql_decompose_batch(h_eff)
     yt = np.einsum("tji,tj->ti", q.conj(), y_tilde)
     out = np.empty((t, n), dtype=complex)
-    for lo, hi in _chunks(t, chunk):
+    for lo, hi in _chunks(t, _ML_CHUNK):
         out[lo:hi] = _ml_search(l[lo:hi], yt[lo:hi], constellations)
     return out
 
 
-def wld_hard_batch(h_eff, y_tilde, constellations, chunk: int = 2048) -> np.ndarray:
+def wld_hard_batch(h_eff, y_tilde, constellations) -> np.ndarray:
     """Hard decisions from channel-metric-rescored candidate lists.
 
     One punctured decomposition per layer, candidates rescored with the
     exact channel metric, overall argmin across the union (earlier
-    detection layers win ties).
+    detection layers win ties).  Trials are detected 2048 at a time,
+    which only caps the memory of the candidate lists.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
     t, n, _ = h_eff.shape
     out = np.empty((t, n), dtype=complex)
-    for lo, hi in _chunks(t, chunk):
+    for lo, hi in _chunks(t, _WLD_CHUNK):
         batches = _candidate_batches(
             h_eff[lo:hi], y_tilde[lo:hi], constellations, None, n, True, None
         )
@@ -568,30 +572,27 @@ def uncoded_ver_point(
     snr_db: float,
     mods,
     trials: int,
-    detectors=("wld", "ml"),
-    chunk: int = 2048,
     threads: int = 1,
 ) -> dict[str, float]:
-    """Vector-error rates of batched detectors at one SNR point.
+    """Vector-error rates of the wld and exact-ML detectors at one SNR point.
 
-    Detectors run on identical trial data (paired comparison).  Returns
-    detector name -> vector error rate.
+    Both detectors run on identical trial data (paired comparison),
+    drawn in 2048-trial chunks with one counter-based stream each.
+    Returns {"wld": rate, "ml": rate}.
     """
     cons = tuple(make_constellation(q) for q in mods)
-    runners = {"wld": wld_hard_batch, "ml": ml_hard_batch}
-    chunks = [(i, min(chunk, trials - i * chunk)) for i in range((trials + chunk - 1) // chunk)]
 
-    def run_chunk(job):
-        chunk_idx, size = job
-        h_eff, x, y_tilde = draw_uncoded_chunk(master_seed, snr_idx, chunk_idx, snr_db, cons, size)
-        errs = {}
-        for name in detectors:
-            hard = runners[name](h_eff, y_tilde, cons)
-            errs[name] = int(np.sum(np.any(hard != x, axis=1)))
-        return errs
+    def run_chunk(bounds):
+        lo, hi = bounds
+        h_eff, x, y_tilde = draw_uncoded_chunk(
+            master_seed, snr_idx, lo // _VER_CHUNK, snr_db, cons, hi - lo
+        )
+        return [int(np.sum(np.any(detect(h_eff, y_tilde, cons) != x, axis=1)))
+                for detect in (wld_hard_batch, ml_hard_batch)]
 
-    parts = _reduce_chunks(run_chunk, chunks, threads)
-    return {name: sum(p[name] for p in parts) / trials for name in detectors}
+    parts = _reduce_chunks(run_chunk, _chunks(trials, _VER_CHUNK), threads)
+    wld, ml = (sum(errs) for errs in zip(*parts))
+    return {"wld": wld / trials, "ml": ml / trials}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +606,6 @@ def mu_classification_rates(
     interferer_order: int,
     snr_db_grid,
     scenarios: int,
-    hypothesis_orders=MU_HYPOTHESIS_ORDERS,
     threads: int = 1,
 ) -> list[float]:
     """Correct-classification rate per SNR point.
@@ -634,7 +634,7 @@ def mu_classification_rates(
             for s_idx, snr_db in enumerate(snr_db_grid):
                 sigma2 = 2.0 / 10.0 ** (snr_db / 10.0)
                 y = signal + np.sqrt(sigma2) * base
-                scn = MuScenario.create(h, y, des, sigma2, hypothesis_orders)
+                scn = MuScenario.create(h, y, des, sigma2)
                 cls = classify_interferer(scn)
                 correct[s_idx] += int(cls.chosen.order == interferer_order)
         return correct

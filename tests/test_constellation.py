@@ -3,9 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimodet import ModScheme, demap_symbol, make_constellation, map_bits, split_prior
+from mimodet import ModScheme, make_constellation, split_prior
 
 ALL_ORDERS = [2, 4, 16, 64, 256]
+
+
+def level_of(axis, bits):
+    """The axis level whose table row is ``bits``."""
+    rows = [i for i, row in enumerate(axis.bits) if np.array_equal(row, bits)]
+    assert len(rows) == 1
+    return axis.levels[rows[0]]
+
+
+def table_point(c, bits):
+    """The point of a q-bit vector, read off the per-axis LTE tables."""
+    return complex(level_of(c.real_axis, bits[c.real_bit_idx]),
+                   level_of(c.imag_axis, bits[c.imag_bit_idx]))
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
@@ -19,20 +32,18 @@ def test_gray_adjacency_both_axes(order):
 @pytest.mark.parametrize("order", ALL_ORDERS)
 def test_map_demap_roundtrip_all_points(order):
     c = make_constellation(order)
-    seen = set()
-    for bits in c.point_bits:
-        x = map_bits(c, bits)
-        seen.add(x)
-        assert np.array_equal(demap_symbol(c, x), bits)
-    assert len(seen) == order
+    want = [table_point(c, bits) for bits in c.point_bits]
+    assert np.array_equal(c.points, want)
+    assert len(set(want)) == order
+    assert np.array_equal(c.point_indices(c.points), np.arange(order))
 
 
 def test_bpsk_degenerate_axis():
     c = make_constellation(2)
     assert c.imag_axis.size == 1
     assert c.imag_axis.bits_per_level == 0
-    assert map_bits(c, [1]) == 1 + 0j
-    assert map_bits(c, [-1]) == -1 + 0j
+    assert c.points.tolist() == [1 + 0j, -1 + 0j]
+    assert c.point_bits.tolist() == [[1], [-1]]
     assert list(c.imag_bit_idx) == []
 
 
@@ -40,9 +51,10 @@ def test_qam4_lte_mapping():
     c = make_constellation(4)
     # binary 0 (bit +1) maps to level +1 on both axes
     assert list(c.real_axis.levels) == [-1, 1]
-    assert c.real_axis.bits[c.real_axis.index_of(1)][0] == 1
-    assert map_bits(c, [1, 1]) == 1 + 1j
-    assert map_bits(c, [-1, 1]) == -1 + 1j
+    assert c.real_axis.bits[c.real_axis.levels.tolist().index(1)][0] == 1
+    assert table_point(c, np.array([1, 1])) == 1 + 1j
+    assert table_point(c, np.array([-1, 1])) == -1 + 1j
+    assert c.points[0] == 1 + 1j and c.points[2] == -1 + 1j
 
 
 def test_qam64_axis_levels():
@@ -61,15 +73,9 @@ def test_bit_index_partition():
 def test_demap_rejects_non_point():
     c = make_constellation(16)
     with pytest.raises(ValueError):
-        demap_symbol(c, 0.5 + 1j)
+        c.point_indices(np.array([0.5 + 1j]))
     with pytest.raises(ValueError):
-        demap_symbol(c, 5 + 1j)
-
-
-def test_map_bits_length_check():
-    c = make_constellation(16)
-    with pytest.raises(ValueError):
-        map_bits(c, [1, 1])
+        c.point_indices(np.array([5 + 1j]))
 
 
 def test_split_prior_examples():
@@ -108,8 +114,10 @@ def test_bits_of_points_matches_demap():
     for order in ALL_ORDERS:
         c = make_constellation(order)
         got = c.bits_of_points(c.points)
-        want = np.array([demap_symbol(c, x) for x in c.points])
-        assert np.array_equal(got, want)
+        for axis, bit_idx, coord in ((c.real_axis, c.real_bit_idx, c.points.real),
+                                     (c.imag_axis, c.imag_bit_idx, c.points.imag)):
+            rows = [axis.levels.tolist().index(v) for v in coord]
+            assert np.array_equal(got[:, bit_idx], axis.bits[rows])
 
 
 def test_unit_energy_scale():

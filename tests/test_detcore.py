@@ -7,7 +7,6 @@ from mimodet import (
     PuncturedDecomposition,
     build_slicer_table,
     detect_one_sided,
-    distance_constants,
     exhaustive_axis_argmin,
     hard_slice,
     make_constellation,
@@ -17,7 +16,7 @@ from mimodet import (
     split_prior,
     transform_observation,
 )
-from mimodet.detcore import detect_one_sided_batch
+from mimodet.detcore import _constants, detect_one_sided_batch
 
 RNG = np.random.default_rng
 
@@ -37,28 +36,29 @@ def eye_decomp(l, layer=0):
 
 def test_constants_trivial():
     l = np.array([[1, 0], [0, 1]], dtype=complex)
-    k = distance_constants(l, np.zeros(2, dtype=complex))
-    assert k.enum_quad == 1 and k.slice_quad[0] == 1
-    assert k.enum_lin_re == 0 and k.enum_lin_im == 0
-    assert k.cross_re[0] == 0 and k.cross_im[0] == 0
-    assert k.slice_lin_re[0] == 0 and k.slice_lin_im[0] == 0
+    k = _constants(l[None], np.zeros((1, 2), dtype=complex))
+    assert k.enum_quad[0] == 1 and k.slice_quad[0, 0] == 1
+    assert k.enum_lin_re[0] == 0 and k.enum_lin_im[0] == 0
+    assert k.cross_re[0, 0] == 0 and k.cross_im[0, 0] == 0
+    assert k.slice_lin_re[0, 0] == 0 and k.slice_lin_im[0, 0] == 0
 
 
 def test_constants_hand_example():
     l = np.array([[1, 0], [1 + 1j, 2]], dtype=complex)
-    k = distance_constants(l, np.array([1.0, 2.0], dtype=complex))
-    assert (k.enum_quad, k.enum_lin_re, k.enum_lin_im) == (3.0, -6.0, 4.0)
-    assert (k.slice_quad[0], k.cross_re[0], k.cross_im[0]) == (4.0, 4.0, -4.0)
-    assert (k.slice_lin_re[0], k.slice_lin_im[0]) == (-8.0, 0.0)
+    y = np.array([1.0, 2.0], dtype=complex)
+    k = _constants(l[None], y[None])
+    assert (k.enum_quad[0], k.enum_lin_re[0], k.enum_lin_im[0]) == (3.0, -6.0, 4.0)
+    assert (k.slice_quad[0, 0], k.cross_re[0, 0], k.cross_im[0, 0]) == (4.0, 4.0, -4.0)
+    assert (k.slice_lin_re[0, 0], k.slice_lin_im[0, 0]) == (-8.0, 0.0)
 
 
 def test_constants_sum_degenerates():
     l = np.eye(4, dtype=complex)
     l[1, 0] = 0.5 - 0.25j
-    k4 = distance_constants(l, np.zeros(4, dtype=complex))
+    k4 = _constants(l[None], np.zeros((1, 4), dtype=complex))
     l2 = l[:2, :2]
-    k2 = distance_constants(l2, np.zeros(2, dtype=complex))
-    assert k4.enum_quad == k2.enum_quad
+    k2 = _constants(l2[None], np.zeros((1, 2), dtype=complex))
+    assert k4.enum_quad[0] == k2.enum_quad[0]
 
 
 # --- hard slicing ----------------------------------------------------------
@@ -237,20 +237,20 @@ def test_detect_mode_equivalence_bit_exact():
         d = punctured_decompose(h, trial % 3)
         y = transform_observation(d, yt)
         cl = detect_one_sided(d, y, cons, priors)
-        k = distance_constants(d.l, y)
+        k = _constants(d.l[None], y[None])
         x1 = cl.symbols[:, d.layer]
         for i in range(1, 3):
             layer = d.perm[i]
             c = cons[layer]
             lam_re, lam_im = split_prior(c, priors[layer])
-            u_re = k.cross_re[i - 1] * x1.real + k.cross_im[i - 1] * x1.imag
-            u_im = k.cross_re[i - 1] * x1.imag - k.cross_im[i - 1] * x1.real
+            u_re = k.cross_re[0, i - 1] * x1.real + k.cross_im[0, i - 1] * x1.imag
+            u_im = k.cross_re[0, i - 1] * x1.imag - k.cross_im[0, i - 1] * x1.real
             for q in range(len(cl)):
                 want_re = exhaustive_axis_argmin(
-                    c.real_axis, k.slice_quad[i - 1], k.slice_lin_re[i - 1], u_re[q], lam_re
+                    c.real_axis, k.slice_quad[0, i - 1], k.slice_lin_re[0, i - 1], u_re[q], lam_re
                 )
                 want_im = exhaustive_axis_argmin(
-                    c.imag_axis, k.slice_quad[i - 1], k.slice_lin_im[i - 1], u_im[q], lam_im
+                    c.imag_axis, k.slice_quad[0, i - 1], k.slice_lin_im[0, i - 1], u_im[q], lam_im
                 )
                 assert cl.symbols[q, layer] == complex(want_re, want_im)
                 assert cl.index[q, layer] == c.point_indices(cl.symbols[q, layer])

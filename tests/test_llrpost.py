@@ -6,13 +6,13 @@ from mimodet import (
     combine_lists,
     detect_one_sided,
     exhaustive_map,
-    hard_decision,
     llr_two_sided,
     make_constellation,
     punctured_decompose,
     rescore_candidates,
     transform_observation,
 )
+from mimodet.llrpost import best_candidates
 
 
 def crandn(rng, *shape):
@@ -28,21 +28,33 @@ def two_sided_lists(h, yt, cons, priors=None):
 
 
 def manual_list(symbols, distances, layer=0, n=2):
+    """A hand-built list of BPSK symbol vectors."""
     symbols = np.asarray(symbols, dtype=complex)
     return CandidateList(
         layer=layer, perm=tuple(range(n)), symbols=symbols,
         distances=np.asarray(distances, dtype=float),
         prior_bias=np.zeros(len(distances)), dropped_const=0.0, distance_mode="L",
+        index=make_constellation(2).point_indices(symbols),
     )
+
+
+def best_entry(*lists):
+    """(symbols, distance, indices) of the best entry over the lists, for one trial."""
+    x, d, idx = best_candidates([cl.batch() for cl in lists])
+    return x[0], d[0], idx[0]
 
 
 def test_hard_decision_singleton_and_ties():
     cl = manual_list([[1, 1]], [3.5])
-    x, d = hard_decision(cl)
-    assert d == 3.5 and np.array_equal(x, [1, 1])
+    x, d, idx = best_entry(cl)
+    assert d == 3.5 and np.array_equal(x, [1, 1]) and np.array_equal(idx, [0, 0])
     cl = manual_list([[1, 1], [-1, 1], [1, -1]], [2.0, 1.0, 1.0])
-    x, d = hard_decision(cl)
+    x, d, idx = best_entry(cl)
     assert d == 1.0 and np.array_equal(x, [-1, 1])  # first minimum wins
+    assert np.array_equal(idx, [1, 0])
+    # across lists, the earlier list wins a tie
+    x, _, _ = best_entry(manual_list([[1, -1]], [1.0]), cl)
+    assert np.array_equal(x, [1, -1])
 
 
 def test_hard_decision_random_matches_scan():
@@ -50,7 +62,7 @@ def test_hard_decision_random_matches_scan():
     dist = rng.normal(0, 5, 40)
     sym = np.stack([np.ones(40), -np.ones(40)], axis=1)
     cl = manual_list(sym, dist)
-    _, d = hard_decision(cl)
+    _, d, _ = best_entry(cl)
     assert d == min(dist)
 
 

@@ -30,10 +30,9 @@ def test_scenario_validation():
         MuScenario.create(np.zeros((0, 2, 2)), np.zeros((0, 2)), 64, 0.1)
     with pytest.raises(ValueError):
         MuScenario.create(np.zeros((2, 2, 2)), np.zeros((3, 2)), 64, 0.1)
-    with pytest.raises(ValueError):
-        MuScenario.create(np.zeros((2, 2, 2)), np.zeros((2, 2)), 64, 0.0)
-    with pytest.raises(ValueError):
-        MuScenario.create(np.zeros((2, 2, 2)), np.zeros((2, 2)), 64, 0.1, hypothesis_orders=())
+    for noise_var in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MuScenario.create(np.zeros((2, 2, 2)), np.zeros((2, 2)), 64, noise_var)
 
 
 def test_penalty_identity():

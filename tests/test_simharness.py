@@ -58,7 +58,7 @@ def test_generate_channel_determinism_and_stats():
     assert np.array_equal(h1, h2)
     h3 = generate_channel(trial_rng(1, 0, 1), 4)
     assert not np.array_equal(h1, h3)
-    draws = generate_channel(trial_rng(2, 0, 0), 2, 50_000)
+    draws = generate_channel(trial_rng(2, 0, 0), 300)
     var = np.mean(np.abs(draws) ** 2)
     assert abs(var - 1.0) < 0.02
 
@@ -74,10 +74,14 @@ def test_config_validation():
         dict(mods=(8, 8)),
         dict(trials=0),
         dict(snr_db=()),
+        dict(snr_db=(10.0, float("nan"))),
+        dict(snr_db=(float("inf"),)),
         dict(detector="zf"),
         dict(detector="map2", n_layers=3, mods=(4, 4, 4)),
         dict(distance_mode="H"),
         dict(priors_mode="random"),
+        dict(priors_mode="random", priors_sigma=float("nan")),
+        dict(priors_mode="random", priors_sigma=float("inf")),
         dict(threads=0),
         dict(detector="wld", shadow_oracle=True),
         dict(shadow_oracle=True, quant=FixedPointFormat(9, 8)),
@@ -266,6 +270,30 @@ def test_mu_classification_rates_trend():
     assert rates[1] >= 0.9
 
 
+# --- package -------------------------------------------------------------------
+
+def test_every_export_resolves():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import mimodet
+
+    exported = set()
+    for info in pkgutil.iter_modules(mimodet.__path__):
+        module = importlib.import_module(f"mimodet.{info.name}")
+        names = getattr(module, "__all__", None)
+        if names is None:
+            names = [n for n in vars(module) if not n.startswith("_")]
+        for n in names:
+            assert hasattr(module, n), f"mimodet.{info.name}.{n}"
+        exported.update(names)
+    # the package re-exports only names that its modules export
+    for n, obj in vars(mimodet).items():
+        if not n.startswith("_") and not inspect.ismodule(obj):
+            assert n in exported, f"mimodet.{n}"
+
+
 # --- CLI ----------------------------------------------------------------------
 
 def test_cli_sweep_and_default_subcommand(tmp_path, capsys):
@@ -281,10 +309,42 @@ def test_cli_sweep_and_default_subcommand(tmp_path, capsys):
 
 
 def test_cli_exit_code_on_config_error(capsys):
-    assert cli_main(["--layers", "3", "--mods", "4,4,4", "--detector", "map2"]) == 2
-    assert cli_main(["--layers", "2", "--mods", "9,9"]) == 2
-    assert cli_main(["--snr", "10:0:20"]) == 2
-    capsys.readouterr()
+    for argv in [
+        ["--layers", "3", "--mods", "4,4,4", "--detector", "map2"],
+        ["--layers", "2", "--mods", "9,9"],
+        ["--snr", "10:0:20"],
+        ["--mods", "4,4", "--trials", "5", "--snr", "nan"],
+        ["--mods", "4,4", "--trials", "5", "--snr", "0:1:inf"],
+        ["--mods", "4,4", "--trials", "5", "--priors", "random:nan"],
+        ["--mods", "4,4", "--trials", "5", "--priors", "random:inf"],
+        ["--layers", "4", "--mods", "4,4,4,4", "--detector", "wld", "--trials", "5",
+         "--snr", "nan"],
+        ["mumimo", "--k", "2", "--trials", "2", "--interferer", "4", "--snr", "nan"],
+        ["mumimo", "--k", "2", "--trials", "2", "--interferer", "4", "--threads", "0"],
+        ["mumimo", "--k", "2", "--trials", "2", "--interferer", "4", "--threads", "-1"],
+    ]:
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mods", "4,4", "--trials", "5"],
+    ["mumimo", "--k", "2", "--trials", "2", "--interferer", "4", "--snr", "10"],
+])
+def test_cli_unwritable_out_fails_before_any_trial(argv, tmp_path, monkeypatch, capsys):
+    import mimodet.cli as cli
+    import mimodet.simharness as sh
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(sh, "detect_batch", no_trials)
+    monkeypatch.setattr(cli, "mu_classification_rates", no_trials)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_tables(capsys):
