@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Compare two revisions on one benchmark workload in alternating pairs of runs.
+
+    python3 scripts/bench_pairs.py REV_A REV_B --workload W --pairs N --seconds S \\
+        [--seeds 1,2,4099]
+
+Each revision is exported with ``git archive`` into its own directory and
+``bench/run.py`` runs from that copy, so both sides build from committed
+files only.  Pair i runs seed i+1 (or the i-th of ``--seeds``) on both
+sides; even pairs run REV_A first, odd pairs REV_B first, so a slow
+stretch of the host does not always fall on the same side.  The script
+prints each run as it finishes, then per end-to-end metric the median
+and quartiles of each side and how many pairs each side won (the
+metric's better direction comes from REV_A's ``BENCHMARK.json``).  Runs
+that report ``correct: false`` or failed trials are flagged.  Run it
+from inside the repository; it takes about 2 x N x S seconds plus the
+checks.
+"""
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def summarize(pairs, better):
+    """Per metric: each side's (q1, median, q3) and how many pairs each side won.
+
+    ``pairs`` is a list of (metrics of A, metrics of B), each a dict of
+    metric name to value; ``better`` maps a metric name to "higher" or
+    "lower".  Returns {metric: {"a": (q1, med, q3), "b": (q1, med, q3),
+    "a_wins": int, "b_wins": int, "ties": int}}.
+    """
+    out = {}
+    for name, direction in better.items():
+        a = np.array([pa[name] for pa, _ in pairs], dtype=float)
+        b = np.array([pb[name] for _, pb in pairs], dtype=float)
+        sign = 1.0 if direction == "higher" else -1.0
+        out[name] = {
+            "a": tuple(np.percentile(a, [25, 50, 75])),
+            "b": tuple(np.percentile(b, [25, 50, 75])),
+            "a_wins": int(np.sum(sign * (a - b) > 0)),
+            "b_wins": int(np.sum(sign * (b - a) > 0)),
+            "ties": int(np.sum(a == b)),
+        }
+    return out
+
+
+def format_summary(summary, rev_a, rev_b):
+    lines = [f"{'metric':<14} {'side':<12} {'median':>12} {'q1':>12} {'q3':>12} {'wins':>5}"]
+    for name, s in summary.items():
+        for rev, key, wins in ((rev_a, "a", s["a_wins"]), (rev_b, "b", s["b_wins"])):
+            q1, med, q3 = s[key]
+            lines.append(f"{name:<14} {rev[:12]:<12} {med:12.6g} {q1:12.6g} {q3:12.6g} {wins:5d}")
+        if s["ties"]:
+            lines.append(f"{name:<14} ties: {s['ties']}")
+    return "\n".join(lines)
+
+
+def _export(rev, dest):
+    """Write the tree of ``rev`` to ``dest`` with git archive."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _run(root, workload, seed, seconds):
+    """One benchmark run from checkout ``root``; returns its result object."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"bench/run.py in {root} printed nothing: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("rev_a")
+    p.add_argument("rev_b")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seeds", default=None, help="comma list, one seed per pair")
+    args = p.parse_args()
+    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
+             else list(range(1, args.pairs + 1)))
+    if args.pairs < 1 or len(seeds) != args.pairs:
+        p.error("--pairs must be >= 1 and match the number of --seeds")
+
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    try:
+        roots = {"a": work / "a", "b": work / "b"}
+        _export(args.rev_a, roots["a"])
+        _export(args.rev_b, roots["b"])
+        spec = json.loads((roots["a"] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        revs = {"a": args.rev_a, "b": args.rev_b}
+        pairs = []
+        for i, seed in enumerate(seeds):
+            got = {}
+            for side in ("ab" if i % 2 == 0 else "ba"):
+                res = _run(roots[side], args.workload, seed, args.seconds)
+                got[side] = {k: v["value"] for k, v in res["metrics"].items()}
+                flag = "" if res["correct"] and not res["failed"] else "  CHECK FAILED"
+                print(f"pair {i} seed {seed} {revs[side]}: "
+                      + ", ".join(f"{k} {v:.6g}" for k, v in got[side].items()) + flag,
+                      flush=True)
+            pairs.append((got["a"], got["b"]))
+        print(format_summary(summarize(pairs, better), args.rev_a, args.rev_b))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateChannelError,
     EnumerationBudgetError,
     MimoDetError,
+    MinimaMismatchError,
     ShadowOracleMismatch,
     SingularChannelError,
 )

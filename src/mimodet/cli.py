@@ -7,7 +7,8 @@ Subcommands:
   tables  distinct-term counts, shift-add plans, constellation dumps
 
 Exit codes: 0 success, 2 configuration error, 3 shadow-oracle mismatch,
-4 singular or degenerate channel.
+4 singular or degenerate channel, 5 numerical error (the two one-sided
+minima of a 2-layer detection disagree).
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import sys
 import numpy as np
 
 from .constellation import ModScheme, make_constellation
-from .errors import ConfigError, DegenerateChannelError, ShadowOracleMismatch, SingularChannelError
+from .errors import (
+    ConfigError,
+    DegenerateChannelError,
+    MinimaMismatchError,
+    ShadowOracleMismatch,
+    SingularChannelError,
+)
 from .hwmodel import (
     FixedPointFormat,
     build_shiftadd_plan,
@@ -27,7 +34,7 @@ from .hwmodel import (
     count_distinct_terms,
 )
 from .mumimo import MU_HYPOTHESIS_ORDERS
-from .simharness import SimConfig, mu_classification_rates, run_sweep
+from .simharness import SNR_GRID_LIMIT, SimConfig, mu_classification_rates, run_sweep
 
 _SUBCOMMANDS = ("sweep", "mumimo", "tables")
 
@@ -47,9 +54,13 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     start, step, stop = values
     if step <= 0:
         raise ConfigError("SNR step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    # count in floats first: a huge count is rejected before any grid is built
+    count = np.floor((stop - start) / step + 1e-9) + 1
     if count < 1:
         raise ConfigError("empty SNR grid")
+    if not count < SNR_GRID_LIMIT:
+        raise ConfigError(f"SNR grid too long: {count:.6g} points, limit {SNR_GRID_LIMIT - 1}")
+    count = int(count)
     return tuple(start + i * step for i in range(count))
 
 
@@ -217,6 +228,9 @@ def main(argv=None) -> int:
     except (SingularChannelError, DegenerateChannelError) as exc:
         print(f"channel error: {exc}", file=sys.stderr)
         return 4
+    except MinimaMismatchError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

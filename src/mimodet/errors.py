@@ -13,6 +13,10 @@ class DegenerateChannelError(MimoDetError):
     """Projection step collapsed a column; no valid punctured decomposition."""
 
 
+class MinimaMismatchError(MimoDetError):
+    """The two one-sided lists of a 2-layer detection attain different minima."""
+
+
 class EnumerationBudgetError(MimoDetError):
     """Requested exhaustive enumeration exceeds the enumeration budget."""
 

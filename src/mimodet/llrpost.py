@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detcore import CandidateBatch, CandidateList
+from .errors import MinimaMismatchError
 
 __all__ = ["DetectionResult", "llr_two_sided", "combine_lists", "two_sided_batch",
            "combine_batch"]
@@ -49,11 +50,35 @@ def partition_minima(distances: np.ndarray, bits: np.ndarray) -> tuple[np.ndarra
     return pos, neg
 
 
+def _own_layer_minima(distances: np.ndarray, constellation) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`partition_minima` of a list holding every point of its own layer in index order.
+
+    A real-axis bit depends only on the real level, so its partitions are
+    unions of whole rows of the (P_re, P_im) level grid: the minimum over
+    each row's imaginary levels, then over the P_re levels of each
+    partition, is the same minimum (and likewise for imaginary bits).
+    """
+    grid = distances[..., constellation.level_grid]  # (..., P_re, P_im)
+    pos = np.empty(distances.shape[:-1] + (constellation.bits_per_symbol,))
+    neg = np.empty_like(pos)
+    for axis, bit_idx, level_min in (
+        (constellation.real_axis, constellation.real_bit_idx, grid.min(axis=-1)),
+        (constellation.imag_axis, constellation.imag_bit_idx, grid.min(axis=-2)),
+    ):
+        pos[..., bit_idx], neg[..., bit_idx] = partition_minima(level_min, axis.bits)
+    return pos, neg
+
+
 def _llr(batches, layer: int, constellation) -> np.ndarray:
     """(T, q) bit LLRs of one layer from the partition minima over all batches."""
     pos = neg = np.inf
     for cand in batches:
-        p, m = partition_minima(cand.distances, constellation.point_bits[cand.index[:, :, layer]])
+        index = cand.index[:, :, layer]
+        own = cand.layer == layer and index.shape[1] == constellation.order
+        if own and (index == np.arange(constellation.order)).all():
+            p, m = _own_layer_minima(cand.distances, constellation)
+        else:
+            p, m = partition_minima(cand.distances, constellation.point_bits[index])
         pos, neg = np.minimum(pos, p), np.minimum(neg, m)
     return pos - neg
 
@@ -89,7 +114,8 @@ def two_sided_batch(
     ``cand1`` must enumerate layer 0 and ``cand2`` layer 1.  Each
     layer's bit LLRs come from its own list; the two lists must attain
     the same minimum distance (checked, since both enumerate the full
-    search space through norm-preserving decompositions).  Pass
+    search space through norm-preserving decompositions; a mismatch
+    raises MinimaMismatchError).  Pass
     ``min_match_rtol=None`` to skip the check when the inputs were
     deliberately perturbed, e.g. quantized.
     """
@@ -102,8 +128,8 @@ def two_sided_batch(
         bad = np.abs(min1 - min2) > tol
         if bad.any():
             t = np.argmax(bad)
-            raise ValueError(f"one-sided minima disagree beyond tolerance: "
-                             f"{float(min1[t])!r} vs {float(min2[t])!r}")
+            raise MinimaMismatchError(f"one-sided minima disagree beyond tolerance: "
+                                      f"{float(min1[t])!r} vs {float(min2[t])!r}")
     llrs = tuple(_llr([cand], layer, constellations[layer])
                  for layer, cand in enumerate((cand1, cand2)))
     if not all(np.isfinite(lam).all() for lam in llrs):

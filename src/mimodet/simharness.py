@@ -14,9 +14,10 @@ Conventions used by every experiment here:
   per (snr index, chunk).  Either way results are independent of worker
   count and schedule, and accumulators reduce in fixed order, so a
   config + seed pins the CSV bytes.
-- Sweeps stack the per-trial draws of a 64-trial chunk and detect them
-  in one batched call (:func:`detect_batch`); a trial's result does not
-  depend on the chunk it ran in.
+- Sweeps draw and reduce trials in 64-trial chunks.  One batched call
+  (:func:`detect_batch`) detects consecutive chunks, across SNR points,
+  while its trial count times the largest constellation order stays
+  within 4096; a trial's result does not depend on the call it ran in.
 - Per-trial draw order: channel, symbol indices (layer by layer),
   noise, priors.
 - Output LLRs keep the unscaled-distance convention of
@@ -39,7 +40,7 @@ from .hwmodel import FixedPointFormat, quantize
 from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
 from .mumimo import MuScenario, classify_interferer
 from .oracle import ENUM_BUDGET, exhaustive_map
-from .rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_rng
+from .rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_key, trial_rng
 
 __all__ = [
     "SimConfig",
@@ -61,12 +62,15 @@ __all__ = [
 CONTEXT_BATCH = 1
 
 _DETECTORS = ("map2", "wld", "oracle")
-_SWEEP_CHUNK = 64
+_SWEEP_CHUNK = 64  # trials per sweep draw and reduction; fixes the float sum order
+_SWEEP_BATCH_CELLS = 4096  # trials x largest order per sweep detection call; caps its memory
 _ML_CHUNK = 256  # trials per exact-ML search; caps the frontier's memory
 _WLD_CHUNK = 2048  # trials per wld detection call; caps the candidate lists' memory
 _VER_CHUNK = 2048  # trials per counter-based stream of a batched VER point
 # relative tolerance of the shadow oracle's LLR and minimum-distance checks
 _SHADOW_RTOL = 1e-6
+# SNR grids hold fewer points than this: the point index is a 16-bit stream key field
+SNR_GRID_LIMIT = 1 << 16
 _CSV_COLUMNS = (
     "snr_db", "trials", "ser", "ber", "llr_mae", "llr_max",
     "detector", "distance_mode", "n_layers", "mods", "seed",
@@ -103,7 +107,7 @@ class SimConfig:
             raise ConfigError("empty SNR grid")
         if not np.all(np.isfinite(self.snr_db)):
             raise ConfigError("SNR values must be finite")
-        if len(self.snr_db) >= 1 << 16:
+        if len(self.snr_db) >= SNR_GRID_LIMIT:
             raise ConfigError("SNR grid too long")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -263,7 +267,7 @@ def _chunks(n_trials, size=_SWEEP_CHUNK):
 
 
 def _reduce_chunks(run_chunk, jobs, threads):
-    """Run chunk jobs and return their partials in job order."""
+    """Run jobs (chunks, or batches of chunks) and return their results in job order."""
     if threads <= 1:
         return [run_chunk(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -273,26 +277,100 @@ def _reduce_chunks(run_chunk, jobs, threads):
 def _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
     """Draw sweep trials [lo, hi) of one SNR point, one counter-based stream each.
 
+    One Philox is re-keyed to each trial's stream (the same draws as
+    :func:`~mimodet.rng.trial_rng`); the draws fill preallocated arrays
+    and the observations are formed for the whole chunk at once.
     Returns (h_eff (T, N, N), transmitted indices (T, N), y_tilde (T, N),
     priors: None or per layer (T, q_n)).
     """
     n = cfg.n_layers
+    lo, hi = bounds
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh stream: zero counter, empty buffers
+    counter = state["state"]["counter"]
+    orders = np.array([c.order for c in cons])
+    q = [c.bits_per_symbol for c in cons]
+    h = np.empty((hi - lo, n, n), dtype=complex)
+    tx = np.empty((hi - lo, n), dtype=np.int64)
+    noise = np.empty((hi - lo, 2, n))
+    lam = np.empty((hi - lo, sum(q))) if cfg.priors_mode == "random" else None
+    for j, trial in enumerate(range(lo, hi)):
+        state["state"] = {"counter": counter,
+                          "key": trial_key(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)}
+        bitgen.state = state
+        h[j] = generate_channel(rng, n)
+        tx[j] = rng.integers(orders)
+        noise[j] = rng.standard_normal((2, n))
+        if lam is not None:
+            lam[j] = rng.normal(0.0, cfg.priors_sigma, lam.shape[1])
+    h_eff = h * scales[None, None, :]
+    x = np.stack([c.points[tx[:, i]] for i, c in enumerate(cons)], axis=1)
     sigma2 = _sigma2(snr_db, n)
-    hs, txs, ys, lams = [], [], [], []
-    for trial in range(*bounds):
-        rng = trial_rng(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)
-        h = generate_channel(rng, n)
-        idx = [int(rng.integers(c.order)) for c in cons]
-        x = np.array([c.points[i] for c, i in zip(cons, idx)])
-        noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        h_eff = h * scales[None, :]
-        hs.append(h_eff)
-        txs.append(idx)
-        ys.append(h_eff @ x + noise)
-        if cfg.priors_mode == "random":
-            lams.append([rng.normal(0.0, cfg.priors_sigma, c.bits_per_symbol) for c in cons])
-    priors = [np.stack(lam) for lam in zip(*lams)] if lams else None
-    return np.stack(hs), np.array(txs), np.stack(ys), priors
+    y = (h_eff @ x[:, :, None])[:, :, 0] + np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
+    priors = None if lam is None else np.split(lam, np.cumsum(q)[:-1], axis=1)
+    return h_eff, tx, y, priors
+
+
+def _sweep_batches(cfg):
+    """Group the sweep's (snr_idx, lo, hi) chunks, in order, into detection calls.
+
+    A call takes the next chunk, from the same or the next SNR point,
+    while its trials x the largest order stay within 4096; every call
+    holds at least one chunk.
+    """
+    cap = _SWEEP_BATCH_CELLS // max(cfg.mods)
+    batches, rows = [], 0
+    for snr_idx in range(len(cfg.snr_db)):
+        for lo, hi in _chunks(cfg.trials):
+            if batches and rows + hi - lo <= cap:
+                batches[-1].append((snr_idx, lo, hi))
+                rows += hi - lo
+            else:
+                batches.append([(snr_idx, lo, hi)])
+                rows = hi - lo
+    return batches
+
+
+def _result_rows(res, rows):
+    """Rows ``rows`` (a slice) of a batched DetectionResult."""
+    return dataclasses.replace(
+        res, hard=res.hard[rows], dmin=res.dmin[rows], llr=tuple(lam[rows] for lam in res.llr),
+        hard_index=res.hard_index[rows],
+    )
+
+
+def _sweep_partials(cfg, cons, reduce_chunk):
+    """Draw, detect and reduce every chunk of a sweep; return each SNR point's partials.
+
+    ``reduce_chunk(snr_idx, lo, h, tx, y, priors, res)`` maps one chunk's
+    draws and its rows of the detection result to a partial; the partials
+    of each SNR point come back in trial order.  Threads map over
+    detection calls.
+    """
+    scales = np.array([c.unit_energy_scale for c in cons])
+
+    def run_batch(batch):
+        draws = [_draw_sweep_chunk(cfg, cons, scales, s, cfg.snr_db[s], (lo, hi))
+                 for s, lo, hi in batch]
+        h, _, y, priors = zip(*draws)
+        priors = None if priors[0] is None else [np.concatenate(p) for p in zip(*priors)]
+        res = detect_batch(
+            np.concatenate(h), np.concatenate(y), cons, priors,
+            detector=cfg.detector, distance_mode=cfg.distance_mode, quant=cfg.quant,
+        )
+        out, row = [], 0
+        for (s, lo, hi), chunk in zip(batch, draws):
+            out.append(reduce_chunk(s, lo, *chunk, _result_rows(res, slice(row, row + hi - lo))))
+            row += hi - lo
+        return out
+
+    batches = _sweep_batches(cfg)
+    parts = [[] for _ in cfg.snr_db]
+    for batch, out in zip(batches, _reduce_chunks(run_batch, batches, cfg.threads)):
+        for (s, _, _), part in zip(batch, out):
+            parts[s].append(part)
+    return parts
 
 
 def _oracle_deviations(res, h, y, cons, priors):
@@ -303,18 +381,14 @@ def _oracle_deviations(res, h, y, cons, priors):
         yield j, det, ora, np.abs(np.concatenate(det.llr) - np.concatenate(ora.llr))
 
 
-def _sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
-    """Detect one chunk and return its (vector, symbol, bit errors, LLR deviation
+def _sweep_chunk(cfg, cons, snr_idx, lo, h, tx, y, priors, res):
+    """Reduce one detected chunk to its (vector, symbol, bit errors, LLR deviation
     sum, LLR count) partials and LLR deviation maximum."""
-    h, tx, y, priors = _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds)
-    res = detect_batch(
-        h, y, cons, priors,
-        detector=cfg.detector, distance_mode=cfg.distance_mode, quant=cfg.quant,
-    )
+    snr_db = cfg.snr_db[snr_idx]
     devs = []
     checked = _oracle_deviations(res, h, y, cons, priors) if cfg.shadow_oracle else ()
     for j, det, ora, dev in checked:
-        key = {"snr_db": snr_db, "snr_idx": snr_idx, "trial": bounds[0] + j,
+        key = {"snr_db": snr_db, "snr_idx": snr_idx, "trial": lo + j,
                "seed": cfg.master_seed}
         if cfg.detector == "map2":
             tol = _SHADOW_RTOL * np.maximum(1.0, np.abs(np.concatenate(ora.llr)))
@@ -341,18 +415,16 @@ def _sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
 
 
 def run_sweep(cfg: SimConfig) -> list[TrialStats]:
-    """Full Monte-Carlo sweep over the configured SNR grid, detected chunk by chunk."""
+    """Full Monte-Carlo sweep over the configured SNR grid, reduced chunk by chunk."""
     cfg.validate()
     cons = tuple(make_constellation(q) for q in cfg.mods)
-    scales = np.array([c.unit_energy_scale for c in cons])
     q_total = sum(c.bits_per_symbol for c in cons)
 
-    stats = []
-    for snr_idx, snr_db in enumerate(cfg.snr_db):
-        def run_chunk(bounds, _snr_idx=snr_idx, _snr_db=snr_db):
-            return _sweep_chunk(cfg, cons, scales, _snr_idx, _snr_db, bounds)
+    def reduce_chunk(*chunk):
+        return _sweep_chunk(cfg, cons, *chunk)
 
-        parts = _reduce_chunks(run_chunk, _chunks(cfg.trials), cfg.threads)
+    stats = []
+    for snr_db, parts in zip(cfg.snr_db, _sweep_partials(cfg, cons, reduce_chunk)):
         total = np.zeros(5)
         dev_max = 0.0
         for acc, dmax in parts:
@@ -391,21 +463,14 @@ def llr_fidelity(cfg: SimConfig) -> list[FidelityPoint]:
     if cfg.detector == "oracle":
         raise ConfigError("llr_fidelity needs a non-oracle detector")
     cons = tuple(make_constellation(q) for q in cfg.mods)
-    scales = np.array([c.unit_energy_scale for c in cons])
+
+    def reduce_chunk(snr_idx, lo, h, tx, y, priors, res):
+        devs = [dev for *_, dev in _oracle_deviations(res, h, y, cons, priors)]
+        return (sum(float(d.sum()) for d in devs), max(float(d.max()) for d in devs),
+                sum(len(d) for d in devs))
 
     points = []
-    for snr_idx, snr_db in enumerate(cfg.snr_db):
-        def run_chunk(bounds, _snr_idx=snr_idx, _snr_db=snr_db):
-            h, _, y, priors = _draw_sweep_chunk(cfg, cons, scales, _snr_idx, _snr_db, bounds)
-            det = detect_batch(
-                h, y, cons, priors,
-                detector=cfg.detector, distance_mode=cfg.distance_mode, quant=cfg.quant,
-            )
-            devs = [dev for *_, dev in _oracle_deviations(det, h, y, cons, priors)]
-            return (sum(float(d.sum()) for d in devs), max(float(d.max()) for d in devs),
-                    sum(len(d) for d in devs))
-
-        parts = _reduce_chunks(run_chunk, _chunks(cfg.trials), cfg.threads)
+    for snr_db, parts in zip(cfg.snr_db, _sweep_partials(cfg, cons, reduce_chunk)):
         dev_sum = sum(p[0] for p in parts)
         dev_max = max(p[1] for p in parts)
         count = sum(p[2] for p in parts)

@@ -3,6 +3,7 @@ import pytest
 
 from mimodet import (
     CandidateList,
+    MinimaMismatchError,
     combine_lists,
     detect_one_sided,
     exhaustive_map,
@@ -12,7 +13,7 @@ from mimodet import (
     rescore_candidates,
     transform_observation,
 )
-from mimodet.llrpost import best_candidates
+from mimodet.llrpost import _own_layer_minima, best_candidates, partition_minima
 
 
 def crandn(rng, *shape):
@@ -115,7 +116,7 @@ def test_two_sided_consistency_check_fires():
     cons = (make_constellation(2), make_constellation(2))
     l1 = manual_list([[1, 1], [-1, 1]], [0.0, 8.0], layer=0)
     l2 = manual_list([[1, 1], [1, -1]], [3.0, 4.0], layer=1)
-    with pytest.raises(ValueError, match="minima disagree"):
+    with pytest.raises(MinimaMismatchError, match="minima disagree"):
         llr_two_sided(l1, l2, cons)
 
 
@@ -222,3 +223,37 @@ def test_combine_requires_full_layer_cover():
     l0 = manual_list([[1, 1], [-1, 1]], [0.0, 1.0], layer=0)
     with pytest.raises(ValueError):
         combine_lists([l0, l0], cons)
+
+
+@pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
+def test_own_layer_minima_equal_partition_minima(order):
+    # a list's own layer is enumerated in index order, so its minima separate by axis
+    c = make_constellation(order)
+    rng = np.random.default_rng(order)
+    d = rng.standard_normal((200, order)) ** 2
+    tied = np.round(d * 2) / 2  # many exact ties
+    inf = d.copy()
+    inf[rng.random(d.shape) < 0.4] = np.inf
+    inf[3] = np.inf  # a trial with every distance +inf
+    for dist in (d, tied, inf):
+        want = partition_minima(dist, c.point_bits)
+        got = _own_layer_minima(dist, c)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+def test_llr_of_a_reordered_own_layer_list():
+    # an own-layer list out of index order takes the general partition minima
+    rng = np.random.default_rng(9)
+    cons = (make_constellation(16), make_constellation(4))
+    h = crandn(rng, 2, 2)
+    lists = two_sided_lists(h, crandn(rng, 2), cons)
+    order = rng.permutation(16)
+    cl = lists[0]
+    shuffled = CandidateList(
+        layer=cl.layer, perm=cl.perm, symbols=cl.symbols[order], distances=cl.distances[order],
+        prior_bias=cl.prior_bias[order], dropped_const=cl.dropped_const,
+        distance_mode=cl.distance_mode, index=cl.index[order],
+    )
+    want = llr_two_sided(cl, lists[1], cons)
+    got = llr_two_sided(shuffled, lists[1], cons)
+    assert all(np.array_equal(a, b) for a, b in zip(want.llr, got.llr))

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import tracemalloc
@@ -13,10 +14,12 @@ from mimodet import (
     make_constellation,
 )
 from mimodet.cli import main as cli_main
-from mimodet.rng import trial_rng
+from mimodet.cli import _parse_snr_grid
+from mimodet.rng import CONTEXT_SWEEP, trial_rng
 from mimodet.simharness import (
     SimConfig,
     _draw_sweep_chunk,
+    _sigma2,
     detect_batch,
     detect_instance,
     draw_uncoded_chunk,
@@ -95,17 +98,34 @@ def test_config_validation():
 
 # --- sweeps ------------------------------------------------------------------
 
-def test_sweep_thread_count_does_not_change_csv(tmp_path):
-    paths = []
-    for threads in (1, 8):
-        path = tmp_path / f"t{threads}.csv"
-        cfg = SimConfig(
-            n_layers=2, mods=(16, 16), snr_db=(8.0, 12.0), trials=150,
-            detector="map2", master_seed=5, out_path=str(path), threads=threads,
-        )
-        run_sweep(cfg)
-        paths.append(path.read_bytes())
-    assert paths[0] == paths[1]
+def test_sweep_thread_count_does_not_change_csv(tmp_path, monkeypatch):
+    import mimodet.simharness as sh
+
+    calls = []
+    real = sh.detect_batch
+
+    def counted(h, *args, **kwargs):
+        calls.append(len(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(sh, "detect_batch", counted)
+    configs = [
+        dict(n_layers=2, mods=(16, 16), snr_db=(8.0, 12.0), trials=150,
+             detector="map2", master_seed=5),
+        # 16-QAM calls hold up to 256 trials: 300 trials at two points take 3 calls
+        dict(n_layers=4, mods=(16,) * 4, snr_db=(14.0, 18.0), trials=300,
+             detector="wld", distance_mode="H", master_seed=5),
+    ]
+    for k, kwargs in enumerate(configs):
+        paths = []
+        for threads in (1, 8):
+            calls.clear()
+            path = tmp_path / f"c{k}t{threads}.csv"
+            run_sweep(SimConfig(out_path=str(path), threads=threads, **kwargs))
+            paths.append(path.read_bytes())
+            if kwargs["detector"] == "wld":
+                assert sorted(calls) == [108, 236, 256]
+        assert paths[0] == paths[1]
 
 
 def test_sweep_csv_schema(tmp_path):
@@ -172,6 +192,13 @@ def test_llr_fidelity_unquantized_is_exact():
     )
     pt = llr_fidelity(cfg)[0]
     assert pt.llr_max <= 1e-9
+
+
+def test_llr_fidelity_thread_count_does_not_change_output():
+    cfg = dict(n_layers=2, mods=(16, 16), snr_db=(10.0, 14.0, 18.0), trials=100,
+               detector="map2", priors_mode="random", priors_sigma=1.0, master_seed=8,
+               quant=FixedPointFormat(9, 6))
+    assert llr_fidelity(SimConfig(threads=1, **cfg)) == llr_fidelity(SimConfig(threads=2, **cfg))
 
 
 def test_llr_fidelity_degrades_with_coarse_quantization():
@@ -451,3 +478,103 @@ def test_chunk_rows_equal_detect_instance(case):
         for a, b in zip(row.llr, one.llr):
             assert np.array_equal(a, b)
         assert np.array_equal(cons[0].points[one.hard_index[0]], one.hard[0])
+
+
+def _trial_rng_draws(cfg, cons, scales, snr_idx, snr_db, bounds):
+    """Sweep draws made the plain way: a new trial_rng per trial, one trial at a time."""
+    n = cfg.n_layers
+    sigma2 = _sigma2(snr_db, n)
+    hs, txs, ys, lams = [], [], [], []
+    for trial in range(*bounds):
+        rng = trial_rng(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)
+        h = generate_channel(rng, n) * scales[None, :]
+        idx = [int(rng.integers(c.order)) for c in cons]
+        x = np.array([c.points[i] for c, i in zip(cons, idx)])
+        noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        hs.append(h)
+        txs.append(idx)
+        ys.append(h @ x + noise)
+        if cfg.priors_mode == "random":
+            lams.append([rng.normal(0.0, cfg.priors_sigma, c.bits_per_symbol) for c in cons])
+    priors = [np.stack(lam) for lam in zip(*lams)] if lams else None
+    return np.stack(hs), np.array(txs), np.stack(ys), priors
+
+
+@pytest.mark.parametrize("kwargs,snr_idx,bounds", [
+    (dict(n_layers=2, mods=(256, 64), priors_mode="random", priors_sigma=0.5,
+          master_seed=3), 0, (0, 70)),
+    (dict(n_layers=3, mods=(4, 16, 64), master_seed=2**64 + 9), 65535, (40, 130)),
+    (dict(n_layers=4, mods=(16, 2, 4, 16), priors_mode="random", priors_sigma=2.0,
+          master_seed=2**70 - 1), 1, (2**32 - 3, 2**32)),
+])
+def test_rekeyed_draws_equal_trial_rng_draws(kwargs, snr_idx, bounds):
+    # key edges: trial 0 and 2**32-1, snr_idx 65535, master seeds at and above 2**64
+    cfg = SimConfig(snr_db=(9.0,), trials=1, **kwargs)
+    cons = tuple(make_constellation(q) for q in cfg.mods)
+    scales = np.array([c.unit_energy_scale for c in cons])
+    got = _draw_sweep_chunk(cfg, cons, scales, snr_idx, 9.0, bounds)
+    want = _trial_rng_draws(cfg, cons, scales, snr_idx, 9.0, bounds)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    if want[3] is None:
+        assert got[3] is None
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_layers=2, mods=(16, 16), detector="map2", priors_mode="random", priors_sigma=1.5,
+         shadow_oracle=True),
+    dict(n_layers=4, mods=(16, 4, 16, 4), detector="wld", distance_mode="H"),
+])
+def test_sweep_rows_do_not_depend_on_call_grouping(kwargs, monkeypatch):
+    # calls that span SNR points give every point the rows of chunk-by-chunk detection
+    import mimodet.simharness as sh
+
+    cfg = SimConfig(snr_db=(6.0, 10.0, 14.0), trials=150, master_seed=12, **kwargs)
+    calls = []
+    real = sh.detect_batch
+
+    def counted(h, *args, **kwargs):
+        calls.append(len(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(sh, "detect_batch", counted)
+    grouped = run_sweep(cfg)
+    assert max(calls) > cfg.trials  # some call spans two SNR points
+    calls.clear()
+    monkeypatch.setattr(sh, "_SWEEP_BATCH_CELLS", 0)  # one chunk per call
+    chunked = run_sweep(cfg)
+    assert max(calls) == 64
+    assert repr(grouped) == repr(chunked)  # repr: llr_mae is nan without the oracle
+    first = run_sweep(dataclasses.replace(cfg, snr_db=cfg.snr_db[:1]))
+    assert repr(first) == repr(grouped[:1])
+
+
+def test_snr_grid_length_is_checked_before_the_grid_is_built(capsys):
+    assert len(_parse_snr_grid("0:1:65534")) == 65535
+    for text in ("0:1:65535", "0:1e-9:1e9", "-1e308:1e-300:1e308"):
+        with pytest.raises(ConfigError, match="too long"):
+            _parse_snr_grid(text)
+    for argv in (["mumimo", "--snr", "0:1e-9:1e9"], ["--mods", "4,4", "--snr", "0:1e-9:1e9"]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
+def test_cli_exit_code_on_minima_mismatch(monkeypatch, capsys):
+    import mimodet.simharness as sh
+
+    real = sh.punctured_decompose_batch
+
+    def skewed(h, m):
+        w, l = real(h, m)
+        return (w, 2.0 * l) if m == 1 else (w, l)
+
+    monkeypatch.setattr(sh, "punctured_decompose_batch", skewed)
+    code = cli_main([
+        "--layers", "2", "--mods", "4,4", "--snr", "10", "--trials", "5", "--detector", "map2",
+    ])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and len(err.strip().splitlines()) == 1, err
