@@ -11,10 +11,13 @@ sides; even pairs run REV_A first, odd pairs REV_B first, so a slow
 stretch of the host does not always fall on the same side.  The script
 prints each run as it finishes, then per end-to-end metric the median
 and quartiles of each side and how many pairs each side won (the
-metric's better direction comes from REV_A's ``BENCHMARK.json``).  Runs
-that report ``correct: false`` or failed trials are flagged.  Run it
-from inside the repository; it takes about 2 x N x S seconds plus the
-checks.
+metric's better direction comes from REV_A's ``BENCHMARK.json``), and
+one line per metric saying whether the gain rule holds: REV_B wins at
+least nine tenths of the pairs and its median is better than REV_A's
+by more than REV_A's interquartile range.  Runs that report
+``correct: false`` or failed trials are flagged, and the script then
+exits 1.  Run it from inside the repository; it takes about 2 x N x S
+seconds plus the checks.
 """
 
 import argparse
@@ -34,19 +37,27 @@ def summarize(pairs, better):
     ``pairs`` is a list of (metrics of A, metrics of B), each a dict of
     metric name to value; ``better`` maps a metric name to "higher" or
     "lower".  Returns {metric: {"a": (q1, med, q3), "b": (q1, med, q3),
-    "a_wins": int, "b_wins": int, "ties": int}}.
+    "a_wins": int, "b_wins": int, "ties": int, "pairs": int, "gain": bool}},
+    where "gain" says whether B's gain over A meets the rule: B wins at
+    least 9/10 of the pairs, and B's median is better than A's by more
+    than A's interquartile range.
     """
     out = {}
     for name, direction in better.items():
         a = np.array([pa[name] for pa, _ in pairs], dtype=float)
         b = np.array([pb[name] for _, pb in pairs], dtype=float)
         sign = 1.0 if direction == "higher" else -1.0
+        qa = tuple(np.percentile(a, [25, 50, 75]))
+        qb = tuple(np.percentile(b, [25, 50, 75]))
+        b_wins = int(np.sum(sign * (b - a) > 0))
         out[name] = {
-            "a": tuple(np.percentile(a, [25, 50, 75])),
-            "b": tuple(np.percentile(b, [25, 50, 75])),
+            "a": qa,
+            "b": qb,
             "a_wins": int(np.sum(sign * (a - b) > 0)),
-            "b_wins": int(np.sum(sign * (b - a) > 0)),
+            "b_wins": b_wins,
             "ties": int(np.sum(a == b)),
+            "pairs": len(pairs),
+            "gain": bool(10 * b_wins >= 9 * len(pairs) and sign * (qb[1] - qa[1]) > qa[2] - qa[0]),
         }
     return out
 
@@ -59,6 +70,13 @@ def format_summary(summary, rev_a, rev_b):
             lines.append(f"{name:<14} {rev[:12]:<12} {med:12.6g} {q1:12.6g} {q3:12.6g} {wins:5d}")
         if s["ties"]:
             lines.append(f"{name:<14} ties: {s['ties']}")
+    for name, s in summary.items():
+        q1, med_a, q3 = s["a"]
+        verdict = "holds" if s["gain"] else "does not hold"
+        lines.append(
+            f"{name}: gain rule {verdict} for {rev_b[:12]}: won {s['b_wins']}/{s['pairs']} pairs "
+            f"(needs 9/10), median {s['b'][1] - med_a:+.6g} against IQR {q3 - q1:.6g}"
+        )
     return "\n".join(lines)
 
 
@@ -83,7 +101,7 @@ def _run(root, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def main():
+def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("rev_a")
     p.add_argument("rev_b")
@@ -91,7 +109,7 @@ def main():
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seeds", default=None, help="comma list, one seed per pair")
-    args = p.parse_args()
+    args = p.parse_args(argv)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else list(range(1, args.pairs + 1)))
     if args.pairs < 1 or len(seeds) != args.pairs:
@@ -105,13 +123,15 @@ def main():
         spec = json.loads((roots["a"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         revs = {"a": args.rev_a, "b": args.rev_b}
-        pairs = []
+        pairs, failed = [], 0
         for i, seed in enumerate(seeds):
             got = {}
             for side in ("ab" if i % 2 == 0 else "ba"):
                 res = _run(roots[side], args.workload, seed, args.seconds)
                 got[side] = {k: v["value"] for k, v in res["metrics"].items()}
-                flag = "" if res["correct"] and not res["failed"] else "  CHECK FAILED"
+                ok = res["correct"] and not res["failed"]
+                failed += not ok
+                flag = "" if ok else "  CHECK FAILED"
                 print(f"pair {i} seed {seed} {revs[side]}: "
                       + ", ".join(f"{k} {v:.6g}" for k, v in got[side].items()) + flag,
                       flush=True)
@@ -119,7 +139,11 @@ def main():
         print(format_summary(summarize(pairs, better), args.rev_a, args.rev_b))
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    if failed:
+        print(f"{failed} of {2 * len(seeds)} runs failed their checks", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -50,6 +50,9 @@ __all__ = [
     "rescore_batch",
 ]
 
+# rows x enumerated order per batched detection call; caps the candidate lists' memory
+BATCH_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class DistanceConstants:
@@ -132,7 +135,8 @@ def _slicer_tables(axis: PamAxis, quad, offset, lam):
     lam / (p_i - p_k); the interval form in u-space absorbs the offset
     (G or H), so level i wins exactly on [lo[i], hi[i]), and levels
     with lo >= hi are dominated by the priors and unreachable.  With
-    zero priors the boundaries reduce to the scaled midpoints.
+    zero priors the boundaries reduce to the scaled midpoints of adjacent
+    levels, built as (T, P-1) arrays without the pairwise (T, P, P) one.
 
     Returns (bias, lo, hi, reachable, order, breakpoints), all (T, P)
     except breakpoints (T, P-1).  ``order`` lists the reachable levels
@@ -141,15 +145,27 @@ def _slicer_tables(axis: PamAxis, quad, offset, lam):
     so the level containing u is order[number of breakpoints <= u].
     """
     lv = axis.levels
-    upper = lv[None, :] > lv[:, None]  # k > i
     bias = _bias(axis.bits, lam)
-    neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
     if lam.any():
+        upper = lv[None, :] > lv[:, None]  # k > i
         # unit diagonal: 0 / 1 there, and the masks below leave it out
         diff = lv[:, None] - lv[None, :] + np.eye(len(lv))
+        neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
         neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
-    lo = np.max(np.where(upper, neg_r, -np.inf), axis=2) - offset[:, None]
-    hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2) - offset[:, None]
+        lo = np.max(np.where(upper, neg_r, -np.inf), axis=2)
+        hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2)
+    else:
+        # levels ascend and quad >= 0, so -quad (p_i + p_k) peaks over k > i at
+        # k = i + 1 and bottoms out over k < i at k = i - 1: adjacent midpoints
+        mid = -(quad[:, None] * (lv[:-1] + lv[1:]))
+        lo = np.empty((len(quad), len(lv)))
+        hi = np.empty_like(lo)
+        lo[:, :-1] = mid
+        lo[:, -1] = -np.inf
+        hi[:, 1:] = mid
+        hi[:, 0] = np.inf
+    lo -= offset[:, None]
+    hi -= offset[:, None]
     reachable = lo < hi
     key = np.where(reachable, lo, np.inf)
     order = np.argsort(key, axis=1, kind="stable")

@@ -12,6 +12,11 @@ the penalty term already prefers).  Per-tone minimization enumerates
 the desired symbol and slices the interferer, reusing the one-sided
 detector core, so the same distance lists later produce the LLRs.
 
+Monte-Carlo runs score many windows at several noise levels at once
+(:func:`window_scores`): the channels are factored once, every tone is
+detected in a few batched calls per hypothesis, and each window scores
+exactly as :func:`classify_interferer` scores it alone.
+
 Transmitted symbols are unit energy per user: the effective channel
 column for a constellation c is the raw column scaled by
 ``c.unit_energy_scale``, and detection runs on integer-valued levels.
@@ -20,12 +25,13 @@ column for a constellation c is the raw column scaled by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .constellation import Constellation, make_constellation
 from .decomp import ql_decompose_batch
-from .detcore import CandidateBatch, detect_one_sided_batch
+from .detcore import BATCH_CELLS, CandidateBatch, detect_one_sided_batch
 from .errors import SingularChannelError
 from .llrpost import partition_minima
 
@@ -34,6 +40,7 @@ __all__ = [
     "MuScenario",
     "MuClassification",
     "classify_interferer",
+    "window_scores",
     "mu_llr",
     "PrbLayout",
     "count_distance_evals",
@@ -88,44 +95,122 @@ class MuClassification:
     lists: dict[int, CandidateBatch] = field(repr=False)  # order -> one row per tone
 
 
-def _tone_factors(s: MuScenario):
+class _ToneFactors(NamedTuple):
+    """QL factors of stacked windows, S scenarios of K tones (see :func:`_tone_factors`)."""
+
+    l: np.ndarray  # (S, K, 2, 2)
+    qh: np.ndarray  # (F, 2, 2) conjugate transpose of Q on the F factored tones
+    free: np.ndarray  # (S, K) bool, interference-free tones
+    u: np.ndarray  # (S K - F, 2) unit desired column on the free tones
+
+
+def _tone_factors(channels, desired: Constellation, scenario0=0, tone0=0) -> _ToneFactors:
     """Per-tone QL factors of the desired-scaled channel, interferer unscaled.
 
-    Returns (l (K,2,2), y (K,2)) with ||y - l x||^2 = ||observation - H x||^2
-    on every tone.  A vanishing interferer column is tolerated
-    (interference-free tone): l = [[|h1|, 0], [0, 0]] and y holds the
-    observation's component along h1 and the norm of the rest.  A
-    vanishing desired column makes the tone undetectable and raises.
+    ``channels`` (S, K, 2, 2) holds S windows of K tones.  The factors
+    depend on the channel alone, so one factorization serves every noise
+    level (:func:`_transform`).  A vanishing interferer column is
+    tolerated (interference-free tone): l = [[|h1|, 0], [0, 0]].  A
+    vanishing desired column makes the tone undetectable and raises,
+    naming scenario ``scenario0 + s`` and tone ``tone0 + k``.
     """
-    h = s.channels.copy()
-    h[:, :, 0] *= s.desired.unit_energy_scale
-    obs = s.observations
-    scale = np.maximum(np.linalg.norm(s.channels, axis=(1, 2)), np.finfo(float).tiny)
-    norm1, norm2 = np.linalg.norm(h, axis=1).T
-    dead = np.flatnonzero(norm1 <= _DEGENERATE_RTOL * scale)
+    h = channels.copy()
+    h[..., 0] *= desired.unit_energy_scale
+    scale = np.maximum(np.linalg.norm(channels, axis=(-2, -1)), np.finfo(float).tiny)
+    norms = np.linalg.norm(h, axis=-2)
+    norm1, norm2 = norms[..., 0], norms[..., 1]
+    dead = np.argwhere(norm1 <= _DEGENERATE_RTOL * scale)
     if dead.size:
-        raise SingularChannelError(f"desired-user column vanishes on tone {dead[0]}")
+        s, k = dead[0]
+        raise SingularChannelError(
+            f"desired-user column vanishes on scenario {scenario0 + s}, tone {tone0 + k}"
+        )
     free = norm2 <= _DEGENERATE_RTOL * scale
     l = np.zeros_like(h)
-    y = np.zeros_like(obs)
     q, l[~free] = ql_decompose_batch(h[~free])
-    y[~free] = (q.conj().transpose(0, 2, 1) @ obs[~free, :, None])[:, :, 0]
-    u = h[free, :, 0] / norm1[free, None]
-    y[free, 0] = np.sum(u.conj() * obs[free], axis=1)
-    y[free, 1] = np.linalg.norm(obs[free] - u * y[free, 0, None], axis=1)
     l[free, 0, 0] = norm1[free]
-    return l, y
+    u = h[free][:, :, 0] / norm1[free][:, None]
+    return _ToneFactors(l, q.conj().transpose(0, 2, 1), free, u)
 
 
-def _hypothesis_batch(s: MuScenario, l, y, hyp: Constellation) -> CandidateBatch:
-    """Candidate lists of every tone under one interferer hypothesis.
+def _transform(f: _ToneFactors, observations) -> np.ndarray:
+    """Transformed observations y (P, S, K, 2) of observations (P, S, K, 2).
+
+    ||y - l x||^2 = ||observation - H x||^2 on every tone at each of the
+    P noise levels; on an interference-free tone y holds the
+    observation's component along h1 and the norm of the rest.
+    """
+    y = np.zeros_like(observations)
+    y[:, ~f.free] = (f.qh @ observations[:, ~f.free, :, None])[..., 0]
+    obs = observations[:, f.free]
+    along = np.sum(f.u.conj() * obs, axis=-1)
+    y[:, f.free, 0] = along
+    y[:, f.free, 1] = np.linalg.norm(obs - f.u * along[..., None], axis=-1)
+    return y
+
+
+def _detection_rows(f: _ToneFactors, y, lo, hi):
+    """Rows [lo, hi) of the (P, S, K)-ordered detection stack: (l (R, 2, 2), y (R, 2))."""
+    l = np.take(f.l.reshape(-1, 2, 2), np.arange(lo, hi), axis=0, mode="wrap")
+    return l, y.reshape(-1, 2)[lo:hi]
+
+
+def _window_rows(s: MuScenario, tones: slice):
+    """Detection rows (l, y) of the window's tones ``tones``, one row per tone."""
+    f = _tone_factors(s.channels[None, tones], s.desired, tone0=tones.start)
+    y = _transform(f, s.observations[None, None, tones])
+    return _detection_rows(f, y, 0, tones.stop - tones.start)
+
+
+def _hypothesis_batch(l, y, desired: Constellation, hyp: Constellation) -> CandidateBatch:
+    """Candidate lists of every row (tone) under one interferer hypothesis.
 
     The desired symbol is enumerated and the interferer sliced with zero
     priors; the interferer scaling acts on column 1 of the factor.
     """
     l_hyp = l.copy()
     l_hyp[:, :, 1] *= hyp.unit_energy_scale
-    return detect_one_sided_batch(l_hyp, y, (s.desired, hyp), perm=(0, 1))
+    return detect_one_sided_batch(l_hyp, y, (desired, hyp), perm=(0, 1))
+
+
+def _scores(minima, noise_var, hypotheses):
+    """Distance sums and penalized scores (H, ...) of per-tone minima (H, ..., K).
+
+    ``noise_var`` broadcasts against the sums of one hypothesis.
+    """
+    k = minima.shape[-1]
+    sums = minima.sum(axis=-1)
+    penalty = np.array([k * np.log(hyp.order) for hyp in hypotheses])
+    return sums, penalty.reshape((-1,) + (1,) * (sums.ndim - 1)) + sums / noise_var
+
+
+def window_scores(channels, observations, desired: Constellation, noise_var,
+                  scenario0: int = 0) -> np.ndarray:
+    """Penalized scores (H, P, S) of S windows at P noise levels.
+
+    ``channels`` (S, K, 2, 2) and ``observations`` (P, S, K, 2) hold the
+    raw channels and the received vectors, ``noise_var`` (P,) the noise
+    variance of each level; axis 0 follows :data:`MU_HYPOTHESIS_ORDERS`,
+    so its argmin picks each window's hypothesis.  The channels are
+    factored once.  Each hypothesis detects every (level, scenario, tone)
+    row in calls of at most ``BATCH_CELLS // desired.order`` rows and
+    keeps only each row's minimum; a window's score equals
+    :func:`classify_interferer`'s.  A vanishing desired column raises,
+    naming scenario ``scenario0 + s``.
+    """
+    hypotheses = tuple(make_constellation(q) for q in MU_HYPOTHESIS_ORDERS)
+    f = _tone_factors(channels, desired, scenario0)
+    y = _transform(f, observations)
+    n_rows = y.size // 2
+    step = max(1, BATCH_CELLS // desired.order)
+    minima = np.empty((len(hypotheses), n_rows))
+    for i, hyp in enumerate(hypotheses):
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            cand = _hypothesis_batch(*_detection_rows(f, y, lo, hi), desired, hyp)
+            minima[i, lo:hi] = cand.distances.min(axis=1)
+    minima = minima.reshape((len(hypotheses),) + y.shape[:3])
+    return _scores(minima, np.asarray(noise_var)[:, None], hypotheses)[1]
 
 
 def classify_interferer(s: MuScenario) -> MuClassification:
@@ -134,18 +219,14 @@ def classify_interferer(s: MuScenario) -> MuClassification:
     The tones' candidate lists are computed as one batch per hypothesis
     and returned for reuse by :func:`mu_llr`.
     """
-    l, y = _tone_factors(s)
-    scores: dict[int, float] = {}
-    sums: dict[int, float] = {}
-    lists: dict[int, CandidateBatch] = {}
-    for hyp in s.hypotheses:
-        cand = _hypothesis_batch(s, l, y, hyp)
-        dist_sum = float(np.sum(cand.distances.min(axis=1)))
-        scores[hyp.order] = s.n_tones * np.log(hyp.order) + dist_sum / s.noise_var
-        sums[hyp.order] = dist_sum
-        lists[hyp.order] = cand
-    chosen = min(s.hypotheses, key=lambda hyp: scores[hyp.order])
-    return MuClassification(chosen, scores, sums, lists)
+    rows = _window_rows(s, slice(0, s.n_tones))
+    lists = {hyp.order: _hypothesis_batch(*rows, s.desired, hyp) for hyp in s.hypotheses}
+    minima = np.stack([cand.distances.min(axis=1) for cand in lists.values()])
+    sums, scores = _scores(minima, s.noise_var, s.hypotheses)
+    chosen = s.hypotheses[int(np.argmin(scores))]
+    return MuClassification(
+        chosen, dict(zip(lists, scores.tolist())), dict(zip(lists, sums.tolist())), lists
+    )
 
 
 def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int,
@@ -154,7 +235,8 @@ def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int,
 
     Each LLR is the difference of partition minima of the noise-scaled
     distance d = ||y - Hx||^2 / sigma^2, minimized over the hypothesized
-    interferer constellation.  Reuses classification lists when given.
+    interferer constellation.  Reuses classification lists when given;
+    otherwise factors and detects the one tone.
     """
     if not 0 <= tone < s.n_tones:
         raise ValueError(f"tone {tone} out of range")
@@ -162,10 +244,11 @@ def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int,
     if hypothesis.order not in orders:
         raise ValueError(f"hypothesis {hypothesis.scheme.name} not in the allowed set")
     if classification is not None and hypothesis.order in classification.lists:
-        cand = classification.lists[hypothesis.order]
+        cand, row = classification.lists[hypothesis.order], tone
     else:
-        cand = _hypothesis_batch(s, *_tone_factors(s), hypothesis)
-    pos, neg = partition_minima(cand.distances[tone], s.desired.point_bits[cand.index[tone, :, 0]])
+        rows = _window_rows(s, slice(tone, tone + 1))
+        cand, row = _hypothesis_batch(*rows, s.desired, hypothesis), 0
+    pos, neg = partition_minima(cand.distances[row], s.desired.point_bits[cand.index[row, :, 0]])
     return (pos - neg) / s.noise_var
 
 

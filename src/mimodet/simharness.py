@@ -34,11 +34,11 @@ import numpy as np
 
 from .constellation import make_constellation
 from .decomp import punctured_decompose_batch, ql_decompose_batch, transform_observation_batch
-from .detcore import detect_one_sided_batch, hard_slice, rescore_batch
+from .detcore import BATCH_CELLS, detect_one_sided_batch, hard_slice, rescore_batch
 from .errors import ConfigError, ShadowOracleMismatch
 from .hwmodel import FixedPointFormat, quantize
 from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
-from .mumimo import MuScenario, classify_interferer
+from .mumimo import MU_HYPOTHESIS_ORDERS, window_scores
 from .oracle import ENUM_BUDGET, exhaustive_map
 from .rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_key, trial_rng
 
@@ -63,7 +63,6 @@ CONTEXT_BATCH = 1
 
 _DETECTORS = ("map2", "wld", "oracle")
 _SWEEP_CHUNK = 64  # trials per sweep draw and reduction; fixes the float sum order
-_SWEEP_BATCH_CELLS = 4096  # trials x largest order per sweep detection call; caps its memory
 _ML_CHUNK = 256  # trials per exact-ML search; caps the frontier's memory
 _WLD_CHUNK = 2048  # trials per wld detection call; caps the candidate lists' memory
 _VER_CHUNK = 2048  # trials per counter-based stream of a batched VER point
@@ -319,7 +318,7 @@ def _sweep_batches(cfg):
     while its trials x the largest order stay within 4096; every call
     holds at least one chunk.
     """
-    cap = _SWEEP_BATCH_CELLS // max(cfg.mods)
+    cap = BATCH_CELLS // max(cfg.mods)
     batches, rows = [], 0
     for snr_idx in range(len(cfg.snr_db)):
         for lo, hi in _chunks(cfg.trials):
@@ -664,6 +663,31 @@ def uncoded_ver_point(
 # MU-MIMO classification Monte-Carlo
 
 
+def _draw_mu_chunk(master_seed, bounds, n_tones, des, intf):
+    """Draw MU-MIMO scenarios [lo, hi), one counter-based stream each.
+
+    Returns raw channels (S, K, 2, 2), the noise-free received signal
+    (S, K, 2) and unit-variance complex noise (S, K, 2); the observation
+    at noise variance sigma^2 is signal + sigma * noise.
+    """
+    lo, hi = bounds
+    h = np.empty((hi - lo, n_tones, 2, 2), dtype=complex)
+    signal = np.empty((hi - lo, n_tones, 2), dtype=complex)
+    base = np.empty_like(signal)
+    for j, i in enumerate(range(lo, hi)):
+        rng = trial_rng(master_seed, 0, i, CONTEXT_MUMIMO)
+        re = rng.standard_normal((n_tones, 2, 2))
+        im = rng.standard_normal((n_tones, 2, 2))
+        h[j] = (re + 1j * im) * np.sqrt(0.5)
+        x1 = des.points[rng.integers(des.order, size=n_tones)] * des.unit_energy_scale
+        x2 = intf.points[rng.integers(intf.order, size=n_tones)] * intf.unit_energy_scale
+        base[j] = np.sqrt(0.5) * (
+            rng.standard_normal((n_tones, 2)) + 1j * rng.standard_normal((n_tones, 2))
+        )
+        signal[j] = h[j, :, :, 0] * x1[:, None] + h[j, :, :, 1] * x2[:, None]
+    return h, signal, base
+
+
 def mu_classification_rates(
     master_seed: int,
     n_tones: int,
@@ -677,32 +701,21 @@ def mu_classification_rates(
 
     Noise realizations are shared across SNR points (scaled common
     random numbers), which makes the rate-vs-SNR trend monotone up to
-    per-scenario granularity.
+    per-scenario granularity.  Each 64-scenario chunk is classified at
+    every SNR point by one :func:`~mimodet.mumimo.window_scores` call:
+    its channels are factored once, and each hypothesis detects all of
+    the chunk's tones in a few batched calls.
     """
     des = make_constellation(desired_order)
     intf = make_constellation(interferer_order)
-    snr_db_grid = list(snr_db_grid)
+    sigma2 = np.array([2.0 / 10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])
+    truth = np.array(MU_HYPOTHESIS_ORDERS) == interferer_order
 
     def run_chunk(bounds):
-        correct = np.zeros(len(snr_db_grid), dtype=int)
-        for i in range(*bounds):
-            rng = trial_rng(master_seed, 0, i, CONTEXT_MUMIMO)
-            re = rng.standard_normal((n_tones, 2, 2))
-            im = rng.standard_normal((n_tones, 2, 2))
-            h = (re + 1j * im) * np.sqrt(0.5)
-            x1 = des.points[rng.integers(des.order, size=n_tones)] * des.unit_energy_scale
-            x2 = intf.points[rng.integers(intf.order, size=n_tones)] * intf.unit_energy_scale
-            base = np.sqrt(0.5) * (
-                rng.standard_normal((n_tones, 2)) + 1j * rng.standard_normal((n_tones, 2))
-            )
-            signal = h[:, :, 0] * x1[:, None] + h[:, :, 1] * x2[:, None]
-            for s_idx, snr_db in enumerate(snr_db_grid):
-                sigma2 = 2.0 / 10.0 ** (snr_db / 10.0)
-                y = signal + np.sqrt(sigma2) * base
-                scn = MuScenario.create(h, y, des, sigma2)
-                cls = classify_interferer(scn)
-                correct[s_idx] += int(cls.chosen.order == interferer_order)
-        return correct
+        h, signal, base = _draw_mu_chunk(master_seed, bounds, n_tones, des, intf)
+        y = signal + np.sqrt(sigma2)[:, None, None, None] * base  # (P, S, K, 2)
+        chosen = np.argmin(window_scores(h, y, des, sigma2, scenario0=bounds[0]), axis=0)
+        return np.sum(truth[chosen], axis=1)
 
     parts = _reduce_chunks(run_chunk, _chunks(scenarios), threads)
     totals = np.sum(parts, axis=0)

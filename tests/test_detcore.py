@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from mimodet import (
     split_prior,
     transform_observation,
 )
-from mimodet.detcore import _constants, detect_one_sided_batch
+from mimodet.detcore import _constants, _slicer_tables, detect_one_sided_batch
 
 RNG = np.random.default_rng
 
@@ -172,6 +174,77 @@ def test_soft_slice_zero_priors_equals_hard_slice():
             z = rng.normal(0, 8)
             u = -2.0 * beta * z - g
             assert soft_slice(tab, u) == hard_slice(ax, z, beta)
+
+
+def pairwise_tables(axis, quad, offset, lam):
+    """The pairwise (T, P, P) boundary build for any priors: the zero-prior reference."""
+    lv = axis.levels
+    upper = lv[None, :] > lv[:, None]
+    bias = np.zeros((len(lam), len(lv))) if not lam.any() else (axis.bits @ lam[:, :, None])[:, :, 0]
+    neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
+    if lam.any():
+        diff = lv[:, None] - lv[None, :] + np.eye(len(lv))
+        neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
+    lo = np.max(np.where(upper, neg_r, -np.inf), axis=2) - offset[:, None]
+    hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2) - offset[:, None]
+    reachable = lo < hi
+    key = np.where(reachable, lo, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    return bias, lo, hi, reachable, order, key[np.arange(len(key))[:, None], order[:, 1:]]
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_zero_prior_tables_equal_pairwise_build(order):
+    ax = make_constellation(order).real_axis
+    rng = RNG(40 + order)
+    n = 400
+    quad = np.concatenate([
+        rng.exponential(size=n),
+        np.full(n, 5e-324),  # subnormal: quad * (p_i + p_k) stays exact
+        rng.uniform(0, 1e-300, n),  # tiny: the offset swallows every midpoint
+        np.zeros(n),  # interference-free MU tone: every midpoint is a signed zero
+        rng.uniform(0.01, 5, n),
+    ])
+    offset = np.concatenate([
+        rng.normal(0, 10, 4 * n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(17, 300, n),  # midpoints collapse
+    ])
+    lam = np.zeros((len(quad), ax.bits_per_level))
+    got = _slicer_tables(ax, quad, offset, lam)
+    want = pairwise_tables(ax, quad, offset, lam)
+    for name, a, b in zip(("bias", "lo", "hi", "reachable", "order", "breakpoints"), got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    # the collapsed cases really are collapsed: some middle levels are unreachable
+    assert order == 4 or not want[3][-n:].all()
+    # and the priors path still is the pairwise build
+    lam = rng.normal(0, 3, lam.shape)
+    for a, b in zip(_slicer_tables(ax, quad, offset, lam), pairwise_tables(ax, quad, offset, lam)):
+        assert np.array_equal(a, b)
+
+
+def exact_axis_argmin(axis, quad, offset, u):
+    """Zero-prior axis argmin in exact rational arithmetic (ties to the lower level)."""
+    metric = [Fraction(quad) * Fraction(p) ** 2 + (Fraction(offset) + Fraction(u)) * Fraction(p)
+              for p in axis.levels]
+    return float(axis.levels[metric.index(min(metric))])
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_zero_prior_slicer_at_and_beside_every_breakpoint(order):
+    # dyadic constants keep every breakpoint exact, so u = breakpoint is an
+    # exact tie that the closed lower edge must resolve like the oracle
+    ax = make_constellation(order).real_axis
+    lam = np.zeros(ax.bits_per_level)
+    for quad, offset in ((1.0, 0.0), (0.5, -3.0), (2.0, 5.5), (0.25, 1.0)):
+        tab = build_slicer_table(ax, quad, offset, lam)
+        assert len(tab.breakpoints) == ax.size - 1
+        for bp in tab.breakpoints:
+            assert soft_slice(tab, bp) == exhaustive_axis_argmin(ax, quad, offset, bp, lam)
+            # one ulp either side: the float oracle rounds a one-ulp metric gap
+            # away into a tie, so the reference here is exact arithmetic
+            for u in (np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)):
+                assert soft_slice(tab, u) == exact_axis_argmin(ax, quad, offset, u)
+            assert soft_slice(tab, np.nextafter(bp, -np.inf)) != soft_slice(tab, bp)
 
 
 # --- one-sided detection ---------------------------------------------------

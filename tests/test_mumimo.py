@@ -8,7 +8,7 @@ from mimodet import (
     make_constellation,
     mu_llr,
 )
-from mimodet.mumimo import MuScenario, PrbLayout
+from mimodet.mumimo import MU_HYPOTHESIS_ORDERS, MuScenario, PrbLayout, window_scores
 
 
 def draw_scenario(rng, k, desired_order, interf_order, sigma2, noiseless=False):
@@ -159,6 +159,40 @@ def test_vanishing_desired_column_raises():
     s = MuScenario.create(h, np.ones((1, 2), dtype=complex), 64, 0.1)
     with pytest.raises(SingularChannelError):
         classify_interferer(s)
+
+
+def test_stacked_window_scores_equal_classify_interferer(monkeypatch):
+    # windows of a stack, interference-free tones included, score bit for bit
+    # as they do alone; the rows go out in 10-row calls that straddle windows
+    import mimodet.mumimo as mumimo
+
+    rng = np.random.default_rng(8)
+    des = make_constellation(16)
+    monkeypatch.setattr(mumimo, "BATCH_CELLS", 10 * des.order)
+    n_scn, k = 5, 7
+    h = (rng.standard_normal((n_scn, k, 2, 2)) + 1j * rng.standard_normal((n_scn, k, 2, 2)))
+    h[1, 3, :, 1] = 0
+    h[4, [0, 6], :, 1] = 0
+    noise_var = np.array([0.05, 0.4, 3.0])
+    y = (rng.standard_normal((len(noise_var), n_scn, k, 2))
+         + 1j * rng.standard_normal((len(noise_var), n_scn, k, 2)))
+    scores = window_scores(h, y, des, noise_var)
+    assert scores.shape == (len(MU_HYPOTHESIS_ORDERS), len(noise_var), n_scn)
+    for p, nv in enumerate(noise_var):
+        for s in range(n_scn):
+            cls = classify_interferer(MuScenario.create(h[s], y[p, s], des, nv))
+            assert [cls.scores[q] for q in MU_HYPOTHESIS_ORDERS] == scores[:, p, s].tolist()
+            assert MU_HYPOTHESIS_ORDERS[np.argmin(scores[:, p, s])] == cls.chosen.order
+
+
+def test_window_scores_name_the_scenario_and_tone_of_a_vanishing_desired_column():
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((3, 4, 2, 2)) + 0j
+    h[2, 1, :, 0] = 0
+    h[2, 3, :, 0] = 0
+    des = make_constellation(4)
+    with pytest.raises(SingularChannelError, match=r"scenario 66, tone 1$"):
+        window_scores(h, np.ones((1, 3, 4, 2), dtype=complex), des, np.ones(1), scenario0=64)
 
 
 def test_mu_llr_rejects_unknown_hypothesis_and_tone():

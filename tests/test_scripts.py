@@ -52,3 +52,58 @@ def test_bench_pairs_summary_on_canned_runs():
     assert (rss["a_wins"], rss["b_wins"], rss["ties"]) == (3, 1, 1)
     text = ns["format_summary"](s, "parent", "change")
     assert "trials_per_s" in text and "change" in text and "ties: 1" in text
+
+
+def test_bench_pairs_gain_rule_on_canned_runs():
+    ns = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    a = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+
+    def rule(b, better="higher"):
+        pairs = [({"m": x}, {"m": y}) for x, y in zip(a, b)]
+        return ns["summarize"](pairs, {"m": better})["m"]["gain"]
+
+    assert rule([x + 10.0 for x in a])
+    # 8 of 10 wins is short of 9/10, however large the gain
+    assert not rule([x + 10.0 for x in a[:8]] + [x - 1.0 for x in a[8:]])
+    assert rule([x + 10.0 for x in a[:9]] + [x - 1.0 for x in a[9:]])
+    # every pair won, but by less than the parent's interquartile range (1.75)
+    assert not rule([x + 1.5 for x in a])
+    assert rule([x - 10.0 for x in a], better="lower")
+    assert not rule([x + 10.0 for x in a], better="lower")
+    s = ns["summarize"]([({"m": x}, {"m": x + 10.0}) for x in a], {"m": "higher"})
+    text = ns["format_summary"](s, "parent", "change")
+    assert "m: gain rule holds for change: won 10/10 pairs" in text
+
+
+@pytest.mark.parametrize("bad", [None, {"correct": False}, {"failed": 2}])
+def test_bench_pairs_exits_nonzero_when_a_run_fails_its_checks(bad, monkeypatch, capsys):
+    import shutil
+
+    ns = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    main = ns["main"]
+    calls = []
+
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        shutil.copy(SCRIPTS.parent / "BENCHMARK.json", dest)
+
+    def run(root, workload, seed, seconds):
+        calls.append(root.name)
+        res = {"correct": True, "failed": 0,
+               "metrics": {"trials_per_s": {"value": 100.0 + len(calls)},
+                           "setup_s": {"value": 0.2}, "peak_rss_mib": {"value": 40.0}}}
+        if bad is not None and len(calls) == 3:
+            res.update(bad)
+        return res
+
+    monkeypatch.setitem(main.__globals__, "_export", export)
+    monkeypatch.setitem(main.__globals__, "_run", run)
+    code = main(["A", "B", "--workload", "w", "--pairs", "2", "--seconds", "1"])
+    out = capsys.readouterr()
+    assert calls == ["a", "b", "b", "a"]  # alternating order
+    assert "gain rule" in out.out
+    if bad is None:
+        assert code == 0 and "CHECK FAILED" not in out.out
+    else:
+        assert code == 1 and out.out.count("CHECK FAILED") == 1
+        assert "1 of 4 runs failed their checks" in out.err

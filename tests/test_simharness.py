@@ -15,7 +15,8 @@ from mimodet import (
 )
 from mimodet.cli import main as cli_main
 from mimodet.cli import _parse_snr_grid
-from mimodet.rng import CONTEXT_SWEEP, trial_rng
+from mimodet.mumimo import MuScenario, classify_interferer
+from mimodet.rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_rng
 from mimodet.simharness import (
     SimConfig,
     _draw_sweep_chunk,
@@ -297,6 +298,61 @@ def test_mu_classification_rates_trend():
     assert rates[1] >= 0.9
 
 
+def per_window_mu_rates(master_seed, n_tones, desired, interferer, grid, scenarios):
+    """Reference rates: one scenario draw and one classify_interferer per (scenario, SNR) window."""
+    des, intf = make_constellation(desired), make_constellation(interferer)
+    correct = np.zeros(len(grid), dtype=int)
+    for i in range(scenarios):
+        rng = trial_rng(master_seed, 0, i, CONTEXT_MUMIMO)
+        re = rng.standard_normal((n_tones, 2, 2))
+        im = rng.standard_normal((n_tones, 2, 2))
+        h = (re + 1j * im) * np.sqrt(0.5)
+        x1 = des.points[rng.integers(des.order, size=n_tones)] * des.unit_energy_scale
+        x2 = intf.points[rng.integers(intf.order, size=n_tones)] * intf.unit_energy_scale
+        base = np.sqrt(0.5) * (
+            rng.standard_normal((n_tones, 2)) + 1j * rng.standard_normal((n_tones, 2))
+        )
+        signal = h[:, :, 0] * x1[:, None] + h[:, :, 1] * x2[:, None]
+        for s_idx, snr_db in enumerate(grid):
+            sigma2 = 2.0 / 10.0 ** (snr_db / 10.0)
+            scn = MuScenario.create(h, signal + np.sqrt(sigma2) * base, des, sigma2)
+            correct[s_idx] += int(classify_interferer(scn).chosen.order == interferer)
+    return [c / scenarios for c in correct]
+
+
+@pytest.mark.parametrize("interferer", [16, 64])
+def test_batched_mu_rates_equal_per_window_classification(interferer):
+    # 70 scenarios span two 64-scenario chunks; the first chunk's 1152 rows per
+    # hypothesis go out in 256-row calls that straddle windows
+    args = (31, 6, 16, interferer, (0.0, 6.0, 12.0), 70)
+    want = per_window_mu_rates(*args)
+    assert 0 < sum(want) < len(want)  # some windows are misclassified
+    assert mu_classification_rates(*args) == want
+    assert mu_classification_rates(*args, threads=2) == want
+
+
+def test_mu_rates_name_the_scenario_whose_desired_column_vanishes(monkeypatch, capsys):
+    import mimodet.simharness as sh
+
+    real = sh._draw_mu_chunk
+
+    def dead_column(master_seed, bounds, *args):
+        h, signal, base = real(master_seed, bounds, *args)
+        if bounds[0] <= 66 < bounds[1]:
+            h[66 - bounds[0], 5, :, 0] = 0
+        return h, signal, base
+
+    monkeypatch.setattr(sh, "_draw_mu_chunk", dead_column)
+    with pytest.raises(SingularChannelError, match="scenario 66, tone 5"):
+        mu_classification_rates(4, 8, 16, 16, (10.0,), 70)
+    code = cli_main(["mumimo", "--k", "8", "--desired", "16", "--interferer", "16",
+                     "--snr", "10", "--trials", "70", "--seed", "4"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("channel error:") and len(err.strip().splitlines()) == 1, err
+    assert "scenario 66, tone 5" in err
+
+
 # --- package -------------------------------------------------------------------
 
 def test_every_export_resolves():
@@ -543,7 +599,7 @@ def test_sweep_rows_do_not_depend_on_call_grouping(kwargs, monkeypatch):
     grouped = run_sweep(cfg)
     assert max(calls) > cfg.trials  # some call spans two SNR points
     calls.clear()
-    monkeypatch.setattr(sh, "_SWEEP_BATCH_CELLS", 0)  # one chunk per call
+    monkeypatch.setattr(sh, "BATCH_CELLS", 0)  # one chunk per call
     chunked = run_sweep(cfg)
     assert max(calls) == 64
     assert repr(grouped) == repr(chunked)  # repr: llr_mae is nan without the oracle
