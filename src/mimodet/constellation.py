@@ -10,11 +10,15 @@ binary 0 mapping to +1.
 BPSK is modeled as a degenerate constellation with a one-point
 imaginary axis at 0 carrying no bits, so detector code can treat every
 scheme uniformly.
+
+Constellations and axes are built once per scheme and shared: every
+array they hold is read-only.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +119,14 @@ class PamAxis:
     def bits_per_level(self) -> int:
         return self.bits.shape[1]
 
+    @functools.cached_property
+    def pairwise(self) -> tuple[np.ndarray, np.ndarray]:
+        """(upper, diff), both (P, P): ``upper[i, k]`` is k > i and ``diff[i, k]``
+        is p_i - p_k off the diagonal, 1 on it."""
+        lv = self.levels
+        return _read_only(lv[None, :] > lv[:, None]), _read_only(
+            lv[:, None] - lv[None, :] + np.eye(len(lv)))
+
     def indices_of(self, levels: np.ndarray) -> np.ndarray:
         """Vectorized index lookup; levels must be exact axis values."""
         if self.size == 1:
@@ -128,14 +140,20 @@ class PamAxis:
         return idx
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
 def _make_axis(pam_size: int) -> PamAxis:
     if pam_size == 1:
-        return PamAxis(np.zeros(1), np.zeros((1, 0), dtype=np.int8))
+        return PamAxis(_read_only(np.zeros(1)), _read_only(np.zeros((1, 0), dtype=np.int8)))
     table = _LTE_PAM_BITS[pam_size]
     levels = np.array(sorted(table), dtype=float)
     # binary digit b -> bit value (1 - 2b): binary 0 maps to +1
     bits = np.array([[1 - 2 * b for b in table[lv]] for lv in sorted(table)], dtype=np.int8)
-    return PamAxis(levels, bits)
+    return PamAxis(_read_only(levels), _read_only(bits))
 
 
 @dataclass(frozen=True)
@@ -146,11 +164,11 @@ class Constellation:
     real_bit_idx: np.ndarray  # positions of real-axis bits within the q-bit vector
     imag_bit_idx: np.ndarray
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         return self.scheme.order
 
-    @property
+    @functools.cached_property
     def bits_per_symbol(self) -> int:
         return self.scheme.bits_per_symbol
 
@@ -161,34 +179,31 @@ class Constellation:
         Index i corresponds to the q-bit binary pattern of i (MSB = bit 0),
         which fixes tie-breaking order across the whole package.
         """
-        return self._enum()[0]
+        return self._enum[0]
 
     @property
     def point_bits(self) -> np.ndarray:
         """(Q, q) {-1,+1} bit vectors matching :attr:`points` order."""
-        return self._enum()[1]
+        return self._enum[1]
 
     @property
     def level_grid(self) -> np.ndarray:
         """(P_re, P_im) index into :attr:`points` of each pair of axis level indices."""
-        return self._enum()[2]
+        return self._enum[2]
 
+    @functools.cached_property
     def _enum(self):
-        cached = getattr(self, "_enum_cache", None)
-        if cached is None:
-            q = self.bits_per_symbol
-            patterns = np.arange(self.order)[:, None] >> np.arange(q - 1, -1, -1)[None, :]
-            bits = (1 - 2 * (patterns & 1)).astype(np.int8)
-            re = _level_indices(self.real_axis, bits[:, self.real_bit_idx])
-            im = _level_indices(self.imag_axis, bits[:, self.imag_bit_idx])
-            pts = self.real_axis.levels[re] + 1j * self.imag_axis.levels[im]
-            grid = np.empty((self.real_axis.size, self.imag_axis.size), dtype=np.intp)
-            grid[re, im] = np.arange(self.order)
-            cached = (pts, bits, grid)
-            object.__setattr__(self, "_enum_cache", cached)
-        return cached
+        q = self.bits_per_symbol
+        patterns = np.arange(self.order)[:, None] >> np.arange(q - 1, -1, -1)[None, :]
+        bits = (1 - 2 * (patterns & 1)).astype(np.int8)
+        re = _level_indices(self.real_axis, bits[:, self.real_bit_idx])
+        im = _level_indices(self.imag_axis, bits[:, self.imag_bit_idx])
+        pts = self.real_axis.levels[re] + 1j * self.imag_axis.levels[im]
+        grid = np.empty((self.real_axis.size, self.imag_axis.size), dtype=np.intp)
+        grid[re, im] = np.arange(self.order)
+        return _read_only(pts), _read_only(bits), _read_only(grid)
 
-    @property
+    @functools.cached_property
     def unit_energy_scale(self) -> float:
         """Multiplier giving E[|x|^2] = 1 over a uniform symbol draw."""
         return 1.0 / np.sqrt(np.mean(np.abs(self.points) ** 2))
@@ -218,26 +233,28 @@ class Constellation:
 
 
 def make_constellation(scheme: ModScheme | int) -> Constellation:
-    """Build the LTE Gray-mapped constellation for a modulation scheme."""
+    """The LTE Gray-mapped constellation of a modulation scheme or order.
+
+    Every call for a scheme returns the same object, built once with its
+    point and bit tables; its arrays are read-only.
+    """
     if not isinstance(scheme, ModScheme):
         scheme = ModScheme.from_order(scheme)
+    return _build_constellation(scheme)
+
+
+@functools.cache
+def _build_constellation(scheme: ModScheme) -> Constellation:
     q = scheme.bits_per_symbol
     if scheme is ModScheme.BPSK:
-        return Constellation(
-            scheme,
-            real_axis=_make_axis(2),
-            imag_axis=_make_axis(1),
-            real_bit_idx=np.array([0], dtype=np.intp),
-            imag_bit_idx=np.array([], dtype=np.intp),
-        )
-    pam = int(2 ** (q // 2))
-    return Constellation(
-        scheme,
-        real_axis=_make_axis(pam),
-        imag_axis=_make_axis(pam),
-        real_bit_idx=np.arange(0, q, 2, dtype=np.intp),
-        imag_bit_idx=np.arange(1, q, 2, dtype=np.intp),
-    )
+        real, imag = _make_axis(2), _make_axis(1)
+        real_idx, imag_idx = np.array([0], dtype=np.intp), np.array([], dtype=np.intp)
+    else:
+        real = imag = _make_axis(int(2 ** (q // 2)))
+        real_idx, imag_idx = np.arange(0, q, 2, dtype=np.intp), np.arange(1, q, 2, dtype=np.intp)
+    c = Constellation(scheme, real, imag, _read_only(real_idx), _read_only(imag_idx))
+    c._enum  # build the point and bit tables now, once
+    return c
 
 
 def _level_indices(axis: PamAxis, bits: np.ndarray) -> np.ndarray:

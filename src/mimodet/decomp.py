@@ -9,7 +9,8 @@ W*H_perm = L where L is lower triangular with every row n >= 2 zeroed
 except columns 1 and n, so all layers decouple from the enumerated
 first layer.  Columns of W are unit norm, which keeps the per-entry
 noise variance unchanged; W is not unitary in general.  Columns of H
-are circularly shifted so the requested detection layer comes first.
+are circularly shifted so the requested detection layer comes first;
+several detection layers' decompositions can be stacked in one call.
 ``punctured_decompose`` and ``transform_observation`` are its T=1 views.
 """
 
@@ -108,22 +109,27 @@ def punctured_decompose(h: np.ndarray, layer: int) -> PuncturedDecomposition:
     return PuncturedDecomposition(w[0], l[0], layer, tuple((layer + i) % n for i in range(n)))
 
 
-def punctured_decompose_batch(h: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
+def punctured_decompose_batch(h: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
     """Punctured decompositions of stacked channels.
 
     h has shape (T, N, N); returns (W, L) of the same shape.  Column n of
     W is the projection of (shifted) column n of H onto the complement
-    of the columns to be punctured, normalized to unit length.  Raises
-    on any degenerate instance.
+    of the columns to be punctured, normalized to unit length.  ``layer``
+    may also list S detection layers (sides): W and L then stack their
+    decompositions side by side, (S T, N, N), rows s T..(s+1) T - 1
+    holding side s.  Raises on any degenerate instance.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2] or not 2 <= h.shape[1] <= 4:
         raise ValueError("punctured_decompose expects square 2x2..4x4 matrices")
-    t, n, _ = h.shape
-    if not 0 <= layer < n:
-        raise ValueError(f"layer {layer} out of range for {n} layers")
-    perm = [(layer + i) % n for i in range(n)]
-    hp = h[:, :, perm]
+    n = h.shape[1]
+    layers = [layer] if np.ndim(layer) == 0 else list(layer)
+    for m in layers:
+        if not 0 <= m < n:
+            raise ValueError(f"layer {m} out of range for {n} layers")
+    perms = [[(m + i) % n for i in range(n)] for m in layers]
+    hp = h[:, :, perms[0]] if len(perms) == 1 else np.concatenate([h[:, :, p] for p in perms])
+    t = len(hp)
     tiny = np.maximum(np.linalg.norm(hp, axis=(1, 2)), np.finfo(float).tiny)
 
     w = np.empty_like(hp)

@@ -14,9 +14,10 @@ store the absolute value.
 Every per-axis minimum comes from soft decision boundaries built per
 trial from that trial's priors (:func:`detect_one_sided_batch`);
 ``oracle.exhaustive_axis_argmin`` is the brute-force reference they
-match, ties included.  The kernels carry a leading trial axis T and
-treat each trial on its own, so a trial's result does not depend on the
-batch it ran in; ``build_slicer_table``, ``detect_one_sided`` and
+match at exact ties and away from breakpoints.  The kernels carry a
+leading trial axis T and treat each trial on its own, so a trial's
+result does not depend on the batch it ran in; ``build_slicer_table``,
+``detect_one_sided`` and
 ``rescore_candidates`` are their T=1 views.  Priors are accepted
 pre-scaled (the 1/sigma^2 of the prior-LLR definition is the caller's
 responsibility).
@@ -50,7 +51,7 @@ __all__ = [
     "rescore_batch",
 ]
 
-# rows x enumerated order per batched detection call; caps the candidate lists' memory
+# rows x enumerated order per kernel call, across sides; caps the candidate lists' memory
 BATCH_CELLS = 4096
 
 
@@ -147,9 +148,8 @@ def _slicer_tables(axis: PamAxis, quad, offset, lam):
     lv = axis.levels
     bias = _bias(axis.bits, lam)
     if lam.any():
-        upper = lv[None, :] > lv[:, None]  # k > i
-        # unit diagonal: 0 / 1 there, and the masks below leave it out
-        diff = lv[:, None] - lv[None, :] + np.eye(len(lv))
+        # unit diagonal of diff: 0 / 1 there, and the masks below leave it out
+        upper, diff = axis.pairwise
         neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
         neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
         lo = np.max(np.where(upper, neg_r, -np.inf), axis=2)
@@ -263,15 +263,20 @@ class CandidateList:
 
 
 class CandidateBatch(NamedTuple):
-    """Candidate lists of T trials from one decomposition (see :class:`CandidateList`)."""
+    """Candidate lists of T trials from one decomposition (see :class:`CandidateList`).
+
+    A batch stacked over S sides (decompositions, see
+    :func:`detect_one_sided_batch`) holds S T rows, side by side, and
+    the sides' layers and orders as tuples; :meth:`sides` splits it.
+    """
 
     symbols: np.ndarray  # (T, Q, N)
     distances: np.ndarray  # (T, Q)
     prior_bias: np.ndarray  # (T, Q)
     index: np.ndarray  # (T, Q, N)
     dropped_const: np.ndarray  # (T,)
-    layer: int
-    perm: tuple[int, ...]
+    layer: int | tuple[int, ...]
+    perm: tuple[int, ...] | tuple[tuple[int, ...], ...]
     distance_mode: str
 
     def row(self, t: int) -> CandidateList:
@@ -280,15 +285,33 @@ class CandidateBatch(NamedTuple):
             float(self.dropped_const[t]), self.distance_mode, self.index[t],
         )
 
+    def sides(self) -> list["CandidateBatch"]:
+        """The one-side batches (views of its rows) of a stacked batch."""
+        t = len(self.distances) // len(self.layer)
+        return [
+            CandidateBatch(*(a[s * t:(s + 1) * t] for a in self[:5]), layer, perm,
+                           self.distance_mode)
+            for s, (layer, perm) in enumerate(zip(self.layer, self.perm))
+        ]
 
-def _normalize_priors(priors, constellations, t):
+
+def _position_priors(priors, cons, perms, t):
+    """Prior LLRs (S T, q) of each decomposition position, stacked over the sides.
+
+    ``priors`` is indexed by original layer; a layer without priors gets zeros.
+    """
     out = []
-    for i, c in enumerate(constellations):
-        lam = None if priors is None else priors[i]
-        lam = np.zeros((t, c.bits_per_symbol)) if lam is None else np.asarray(lam, dtype=float)
-        if lam.shape != (t, c.bits_per_symbol):
-            raise ValueError(f"layer {i}: expected {c.bits_per_symbol} priors")
-        out.append(lam)
+    for i, c in enumerate(cons):
+        lams = [None if priors is None else priors[perm[i]] for perm in perms]
+        if all(lam is None for lam in lams):
+            out.append(np.zeros((len(perms) * t, c.bits_per_symbol)))
+            continue
+        lams = [np.zeros((t, c.bits_per_symbol)) if lam is None else np.asarray(lam, dtype=float)
+                for lam in lams]
+        for perm, lam in zip(perms, lams):
+            if lam.shape != (t, c.bits_per_symbol):
+                raise ValueError(f"layer {perm[i]}: expected {c.bits_per_symbol} priors")
+        out.append(lams[0] if len(lams) == 1 else np.concatenate(lams))
     return out
 
 
@@ -296,7 +319,7 @@ def detect_one_sided_batch(
     l: np.ndarray,
     y: np.ndarray,
     constellations,
-    perm: tuple[int, ...],
+    perm,
     priors=None,
 ) -> CandidateBatch:
     """Enumerate the detection layer and slice all others, for T trials.
@@ -305,20 +328,40 @@ def detect_one_sided_batch(
     ``y`` (T, N) the transformed observations W* ytilde.
     ``constellations`` and ``priors`` are indexed by original layer;
     ``priors`` is None or holds, per layer, None or (T, q_n) prior LLRs.
+
+    ``perm`` may instead list the orders of S sides whose layers carry
+    the same constellations position by position; ``l`` and ``y`` then
+    stack the sides' decompositions of the T trials side by side (as
+    :func:`~mimodet.decomp.punctured_decompose_batch` returns them), and
+    so does the returned batch, each side's candidates in original layer
+    order (see :meth:`CandidateBatch.sides`).
     """
     l = np.asarray(l, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    t, n, _ = l.shape
-    perm = tuple(perm)
-    lam = _normalize_priors(priors, constellations, t)
-    cons = [constellations[p] for p in perm]
+    n_rows, n, _ = l.shape
+    stacked = np.ndim(perm) == 2
+    perms = [tuple(p) for p in perm] if stacked else [tuple(perm)]
+    cons = [constellations[p] for p in perms[0]]
+    if any(constellations[p[i]].order != c.order for p in perms for i, c in enumerate(cons)):
+        raise ValueError("stacked sides must carry the same constellations in order")
+    lam = _position_priors(priors, cons, perms, n_rows // len(perms))
     k = _constants(l, y)
+
+    if len(perms) == 1:
+        def put(out, i, value):
+            out[:, :, perms[0][i]] = value
+    else:
+        rows = np.arange(n_rows)
+        cols = np.repeat(perms, n_rows // len(perms), axis=0)
+
+        def put(out, i, value):
+            out[rows, :, cols[:, i]] = value
 
     c0 = cons[0]
     pts = c0.points
     x1re = pts.real
     x1im = pts.imag
-    bias0 = _bias(c0.point_bits, lam[perm[0]])
+    bias0 = _bias(c0.point_bits, lam[0])
     gbar = (
         k.enum_quad[:, None] * (x1re * x1re + x1im * x1im)
         + k.enum_lin_re[:, None] * x1re
@@ -328,13 +371,13 @@ def detect_one_sided_batch(
     total_bias = bias0.copy()
 
     q = len(pts)
-    symbols = np.empty((t, q, n), dtype=complex)
-    index = np.empty((t, q, n), dtype=np.intp)
-    symbols[:, :, perm[0]] = pts
-    index[:, :, perm[0]] = np.arange(q)
+    symbols = np.empty((n_rows, q, n), dtype=complex)
+    index = np.empty((n_rows, q, n), dtype=np.intp)
+    put(symbols, 0, pts)
+    put(index, 0, np.arange(q))
     for i in range(1, n):
         c = cons[i]
-        lam_re, lam_im = split_prior(c, lam[perm[i]])
+        lam_re, lam_im = split_prior(c, lam[i])
         cre = k.cross_re[:, i - 1, None]
         cim = k.cross_im[:, i - 1, None]
         bq = k.slice_quad[:, i - 1]
@@ -346,12 +389,14 @@ def detect_one_sided_batch(
         )
         gbar += v_re + v_im
         total_bias += b_re + b_im
-        symbols[:, :, perm[i]] = c.real_axis.levels[k_re] + 1j * c.imag_axis.levels[k_im]
-        index[:, :, perm[i]] = c.level_grid[k_re, k_im]
+        put(symbols, i, c.real_axis.levels[k_re] + 1j * c.imag_axis.levels[k_im])
+        put(index, i, c.level_grid[k_re, k_im])
 
     dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)
+    layer = tuple(p[0] for p in perms) if stacked else perms[0][0]
     return CandidateBatch(
-        symbols, gbar + dropped[:, None], total_bias, index, dropped, perm[0], perm, "L"
+        symbols, gbar + dropped[:, None], total_bias, index, dropped, layer,
+        tuple(perms) if stacked else perms[0], "L",
     )
 
 

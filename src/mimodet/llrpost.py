@@ -70,15 +70,26 @@ def _own_layer_minima(distances: np.ndarray, constellation) -> tuple[np.ndarray,
 
 
 def _llr(batches, layer: int, constellation) -> np.ndarray:
-    """(T, q) bit LLRs of one layer from the partition minima over all batches."""
+    """(T, q) bit LLRs of one layer from the partition minima over all batches.
+
+    A list holding every point of the layer in index order (its own
+    list) takes its minima separably; all other lists take theirs in one
+    :func:`partition_minima` call over their candidates side by side,
+    which is exact because a minimum does not depend on order.
+    """
     pos = neg = np.inf
+    others = []
     for cand in batches:
         index = cand.index[:, :, layer]
         own = cand.layer == layer and index.shape[1] == constellation.order
         if own and (index == np.arange(constellation.order)).all():
             p, m = _own_layer_minima(cand.distances, constellation)
+            pos, neg = np.minimum(pos, p), np.minimum(neg, m)
         else:
-            p, m = partition_minima(cand.distances, constellation.point_bits[index])
+            others.append((cand.distances, index))
+    if others:
+        dist, index = (np.concatenate(a, axis=1) for a in zip(*others))
+        p, m = partition_minima(dist, constellation.point_bits[index])
         pos, neg = np.minimum(pos, p), np.minimum(neg, m)
     return pos - neg
 

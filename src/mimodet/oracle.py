@@ -74,7 +74,11 @@ def exhaustive_axis_argmin(axis: PamAxis, quad: float, offset: float, u: float, 
     """Argmin over one axis of quad*p^2 + (offset + u)*p - b(p)'lam.
 
     Enumerates every level; equal metrics resolve to the lower level
-    index.  This is the authoritative reference for the soft slicer.
+    index.  It is the soft slicer's reference at exact ties and away
+    from its breakpoints only: the metric is compared in floating point,
+    so one ulp beside a breakpoint it can round the gap between two
+    levels into a tie and return the lower level where the exact argmin
+    is the upper one.
     """
     lam_axis = np.asarray(lam_axis, dtype=float)
     bias = axis.bits @ lam_axis if axis.bits_per_level else np.zeros(axis.size)

@@ -18,6 +18,11 @@ Conventions used by every experiment here:
   (:func:`detect_batch`) detects consecutive chunks, across SNR points,
   while its trial count times the largest constellation order stays
   within 4096; a trial's result does not depend on the call it ran in.
+- A batched detection stacks its sides (one per detection layer's
+  decomposition) whose layers carry the same constellations in
+  decomposition order, and runs each stage once per stack of at most
+  4096 cells (rows x enumerated order); a side's candidates do not
+  depend on the stack it ran in.
 - Per-trial draw order: channel, symbol indices (layer by layer),
   noise, priors.
 - Output LLRs keep the unscaled-distance convention of
@@ -166,30 +171,57 @@ def generate_channel(rng: np.random.Generator, n: int) -> np.ndarray:
     return (re + 1j * im) * np.sqrt(0.5)
 
 
+def _side_calls(constellations, sides, t):
+    """Group detection layers (sides) 0..sides-1 of T trials into stacked kernel calls.
+
+    Sides whose layers carry the same constellations in decomposition
+    order share calls; a call holds at most ``BATCH_CELLS`` cells (rows x
+    enumerated order), and at least one side.
+    """
+    n = len(constellations)
+    groups = {}
+    for m in range(sides):
+        orders = tuple(constellations[(m + i) % n].order for i in range(n))
+        groups.setdefault(orders, []).append(m)
+    calls = []
+    for orders, group in groups.items():
+        per_call = max(1, BATCH_CELLS // max(1, t * orders[0]))
+        calls += [group[j:j + per_call] for j in range(0, len(group), per_call)]
+    return calls
+
+
 def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, quant):
     """One candidate batch per detection layer 0..sides-1 for stacked trials.
 
-    Quantization, if requested, applies to the detector inputs
-    (triangular factors, transformed observations, priors, and the
-    rescoring channel) and to the candidate distances.
+    Each call of :func:`_side_calls` runs one decomposition, transform,
+    one-sided detection, rescoring and quantization on its sides stacked
+    side by side.  Quantization, if requested, applies to the detector
+    inputs (triangular factors, transformed observations, priors, and
+    the rescoring channel) and to the candidate distances.
     """
     def q(v):
         return quantize(v, quant) if quant is not None else v
 
+    def stacked(a, s):
+        return a if s == 1 else np.concatenate([a] * s)
+
     if priors is not None:
         priors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
+    if rescore:
+        h_q, y_q = q(h_eff), q(y_tilde)
     n = len(constellations)
-    batches = []
-    for m in range(sides):
-        w, l = punctured_decompose_batch(h_eff, m)
-        yt = transform_observation_batch(w, y_tilde)
-        perm = tuple((m + i) % n for i in range(n))
-        cand = detect_one_sided_batch(q(l), q(yt), constellations, perm, priors)
+    batches = [None] * sides
+    for call in _side_calls(constellations, sides, len(h_eff)):
+        w, l = punctured_decompose_batch(h_eff, call)
+        yt = transform_observation_batch(w, stacked(y_tilde, len(call)))
+        perms = [tuple((m + i) % n for i in range(n)) for m in call]
+        cand = detect_one_sided_batch(q(l), q(yt), constellations, perms, priors)
         if rescore:
-            cand = rescore_batch(cand, q(h_eff), q(y_tilde))
+            cand = rescore_batch(cand, stacked(h_q, len(call)), stacked(y_q, len(call)))
         if quant is not None:
             cand = cand._replace(distances=quantize(cand.distances, quant))
-        batches.append(cand)
+        for m, side in zip(call, cand.sides()):
+            batches[m] = side
     return batches
 
 

@@ -138,3 +138,33 @@ def test_table_dump_lists_all_levels():
     assert sum(ln.startswith("real ") for ln in lines) == 4
     assert sum(ln.startswith("imag ") for ln in lines) == 4
     assert "real +3 01" in lines
+
+
+def _arrays(c):
+    """Every array a constellation holds, by name."""
+    out = {"points": c.points, "point_bits": c.point_bits, "level_grid": c.level_grid,
+           "real_bit_idx": c.real_bit_idx, "imag_bit_idx": c.imag_bit_idx}
+    for name, axis in (("real", c.real_axis), ("imag", c.imag_axis)):
+        out[f"{name}.levels"], out[f"{name}.bits"] = axis.levels, axis.bits
+        out[f"{name}.upper"], out[f"{name}.diff"] = axis.pairwise
+    return out
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_constellation_is_built_once_and_read_only(order):
+    from mimodet import constellation
+
+    c = make_constellation(order)
+    scheme = ModScheme.from_order(order)
+    assert make_constellation(order) is c and make_constellation(scheme) is c
+    for name, a in _arrays(c).items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    fresh = constellation._build_constellation.__wrapped__(scheme)
+    assert fresh is not c
+    for axis in (c.real_axis, c.imag_axis):
+        new = constellation._make_axis.__wrapped__(axis.size)
+        assert np.array_equal(axis.levels, new.levels) and np.array_equal(axis.bits, new.bits)
+    for name in ("points", "point_bits", "level_grid"):
+        a, b = getattr(c, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -390,6 +390,20 @@ def test_batch_kernel_bit_exact_vs_scalar():
         assert np.array_equal(cl.distances, dist[t])
 
 
+def test_stacked_sides_need_the_same_constellations_in_order():
+    cons = tuple(make_constellation(q) for q in (4, 16, 64))
+    l = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    y = np.zeros((4, 3), dtype=complex)
+    with pytest.raises(ValueError, match="same constellations"):
+        detect_one_sided_batch(l, y, cons, perm=[(0, 1, 2), (1, 2, 0)])
+    cons = tuple(make_constellation(q) for q in (16, 4, 16, 4))
+    l = np.tile(np.eye(4, dtype=complex), (4, 1, 1))
+    sides = detect_one_sided_batch(l, np.zeros((4, 4), dtype=complex), cons,
+                                   perm=[(0, 1, 2, 3), (2, 3, 0, 1)]).sides()
+    assert [(b.layer, b.perm, len(b.distances)) for b in sides] == [
+        (0, (0, 1, 2, 3), 2), (2, (2, 3, 0, 1), 2)]
+
+
 # --- rescoring -------------------------------------------------------------
 
 def test_rescore_two_layer_preserves_everything():

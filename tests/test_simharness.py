@@ -34,8 +34,20 @@ from mimodet.simharness import (
 )
 from mimodet.oracle import exhaustive_map
 from mimodet.llrpost import combine_lists
-from mimodet.detcore import rescore_candidates, detect_one_sided
-from mimodet.decomp import punctured_decompose, transform_observation
+from mimodet.detcore import (
+    detect_one_sided,
+    detect_one_sided_batch,
+    rescore_batch,
+    rescore_candidates,
+)
+from mimodet.decomp import (
+    punctured_decompose,
+    punctured_decompose_batch,
+    transform_observation,
+    transform_observation_batch,
+)
+from mimodet.hwmodel import quantize
+from mimodet.llrpost import best_candidates, partition_minima
 
 
 def crandn(rng, *shape):
@@ -607,6 +619,85 @@ def test_sweep_rows_do_not_depend_on_call_grouping(kwargs, monkeypatch):
     assert repr(first) == repr(grouped[:1])
 
 
+def _per_side_batches(h, y, cons, priors, sides, rescore, quant):
+    """Reference: one decomposition, transform, detection and rescoring call per side."""
+    def q(v):
+        return quantize(v, quant) if quant is not None else v
+
+    if priors is not None:
+        priors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
+    n = len(cons)
+    out = []
+    for m in range(sides):
+        w, l = punctured_decompose_batch(h, m)
+        yt = transform_observation_batch(w, y)
+        cand = detect_one_sided_batch(q(l), q(yt), cons, tuple((m + i) % n for i in range(n)),
+                                      priors)
+        if rescore:
+            cand = rescore_batch(cand, q(h), q(y))
+        if quant is not None:
+            cand = cand._replace(distances=quantize(cand.distances, quant))
+        out.append(cand)
+    return out
+
+
+def _per_list_llrs(batches, cons):
+    """Reference: each layer's LLRs as minima over one partition_minima call per list."""
+    llrs = []
+    for layer, c in enumerate(cons):
+        pos = neg = np.inf
+        for cand in batches:
+            p, m = partition_minima(cand.distances, c.point_bits[cand.index[:, :, layer]])
+            pos, neg = np.minimum(pos, p), np.minimum(neg, m)
+        llrs.append(pos - neg)
+    return llrs
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mods,t,detector,mode,priors,quant,calls", [
+    ((256, 256), 16, "map2", "L", "all", None, [[0], [1]]),  # 4096 cells: one side per call
+    ((256, 256), 4, "map2", "L", "all", None, [[0, 1]]),
+    ((16,) * 4, 24, "wld", "H", None, None, [[0, 1, 2, 3]]),
+    ((16,) * 4, 100, "wld", "H", None, None, [[0, 1], [2, 3]]),  # split by the cap
+    ((4, 16, 4, 16), 30, "wld", "H", "layer 1 None", None, [[0, 2], [1, 3]]),
+    ((4, 16, 64), 20, "wld", "H", None, None, [[0], [1], [2]]),
+    ((16, 4, 16, 4), 12, "wld", "L", "all", FixedPointFormat(5, 6), [[0, 2], [1, 3]]),
+])
+def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, quant, calls):
+    import mimodet.simharness as sh
+
+    rng = np.random.default_rng(sum(mods) + t)
+    cons = tuple(make_constellation(q) for q in mods)
+    n = len(mods)
+    h = crandn(rng, t, n, n) * np.array([c.unit_energy_scale for c in cons])
+    y = 2.0 * crandn(rng, t, n)
+    lam = None
+    if priors is not None:
+        lam = [rng.normal(0.0, 1.5, (t, c.bits_per_symbol)) for c in cons]
+        if priors == "layer 1 None":
+            lam[1] = None
+    sides = 2 if detector == "map2" else n
+    rescore = mode == "H"
+    assert sh._side_calls(cons, sides, t) == calls
+    got = sh._candidate_batches(h, y, cons, lam, sides, rescore, quant)
+    want = _per_side_batches(h, y, cons, lam, sides, rescore, quant)
+    for a, b in zip(got, want, strict=True):
+        assert (a.layer, a.perm, a.distance_mode) == (b.layer, b.perm, b.distance_mode)
+        for name in ("symbols", "distances", "prior_bias", "index", "dropped_const"):
+            assert _same_bytes(getattr(a, name), getattr(b, name)), name
+    res = detect_batch(h, y, cons, lam, detector, mode, quant)
+    hard, dmin, hard_index = best_candidates(want)
+    assert _same_bytes(res.hard, hard) and _same_bytes(res.dmin, dmin)
+    assert _same_bytes(res.hard_index, hard_index)
+    own = [[b] for b in want] if detector == "map2" else [want] * n
+    for i, llr in enumerate(res.llr):
+        assert _same_bytes(llr, _per_list_llrs(own[i], cons)[i]), i
+
+
 def test_snr_grid_length_is_checked_before_the_grid_is_built(capsys):
     assert len(_parse_snr_grid("0:1:65534")) == 65535
     for text in ("0:1:65535", "0:1e-9:1e9", "-1e308:1e-300:1e308"):
@@ -623,9 +714,14 @@ def test_cli_exit_code_on_minima_mismatch(monkeypatch, capsys):
 
     real = sh.punctured_decompose_batch
 
-    def skewed(h, m):
-        w, l = real(h, m)
-        return (w, 2.0 * l) if m == 1 else (w, l)
+    def skewed(h, layers):
+        # the sides come out stacked side by side: skew side 1's rows
+        w, l = real(h, layers)
+        t = len(h)
+        for s, m in enumerate(np.atleast_1d(layers)):
+            if m == 1:
+                l[s * t:(s + 1) * t] *= 2.0
+        return w, l
 
     monkeypatch.setattr(sh, "punctured_decompose_batch", skewed)
     code = cli_main([
