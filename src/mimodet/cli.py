@@ -154,10 +154,6 @@ def _cmd_mumimo(args) -> int:
     for q in interferers:
         if q not in MU_HYPOTHESIS_ORDERS:
             raise ConfigError(f"interferer order {q} not in hypothesis set {MU_HYPOTHESIS_ORDERS}")
-    if args.k < 1 or args.trials < 1:
-        raise ConfigError("k and trials must be positive")
-    if args.threads < 1:
-        raise ConfigError("threads must be >= 1")
     make_constellation(args.desired)
     _check_out(args.out)
 

@@ -10,12 +10,13 @@ except columns 1 and n, so all layers decouple from the enumerated
 first layer.  Columns of W are unit norm, which keeps the per-entry
 noise variance unchanged; W is not unitary in general.  Columns of H
 are circularly shifted so the requested detection layer comes first;
-several detection layers' decompositions can be stacked in one call.
+each call stacks the decompositions of a list of detection layers.
 ``punctured_decompose`` and ``transform_observation`` are its T=1 views.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,31 +105,32 @@ def punctured_decompose(h: np.ndarray, layer: int) -> PuncturedDecomposition:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError("punctured_decompose expects a square 2x2..4x4 matrix")
-    w, l = punctured_decompose_batch(h[None], layer)
+    w, l = punctured_decompose_batch(h[None], [layer])
     n = h.shape[0]
     return PuncturedDecomposition(w[0], l[0], layer, tuple((layer + i) % n for i in range(n)))
 
 
-def punctured_decompose_batch(h: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
-    """Punctured decompositions of stacked channels.
+def punctured_decompose_batch(h: np.ndarray, layers) -> tuple[np.ndarray, np.ndarray]:
+    """Punctured decompositions of stacked channels for S detection layers (sides).
 
-    h has shape (T, N, N); returns (W, L) of the same shape.  Column n of
-    W is the projection of (shifted) column n of H onto the complement
-    of the columns to be punctured, normalized to unit length.  ``layer``
-    may also list S detection layers (sides): W and L then stack their
-    decompositions side by side, (S T, N, N), rows s T..(s+1) T - 1
-    holding side s.  Raises on any degenerate instance.
+    h has shape (T, N, N) and ``layers`` lists the S detection layers;
+    returns (W, L) of shape (S T, N, N), rows s T..(s+1) T - 1 holding
+    side s.  Column n of W is the projection of (shifted) column n of H
+    onto the complement of the columns to be punctured, normalized to
+    unit length.  Raises on any degenerate instance.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2] or not 2 <= h.shape[1] <= 4:
         raise ValueError("punctured_decompose expects square 2x2..4x4 matrices")
     n = h.shape[1]
-    layers = [layer] if np.ndim(layer) == 0 else list(layer)
+    try:
+        layers = [operator.index(m) for m in layers]
+    except TypeError:
+        raise ValueError("layers must list the detection layers") from None
     for m in layers:
         if not 0 <= m < n:
             raise ValueError(f"layer {m} out of range for {n} layers")
-    perms = [[(m + i) % n for i in range(n)] for m in layers]
-    hp = h[:, :, perms[0]] if len(perms) == 1 else np.concatenate([h[:, :, p] for p in perms])
+    hp = np.concatenate([h[:, :, [(m + i) % n for i in range(n)]] for m in layers])
     t = len(hp)
     tiny = np.maximum(np.linalg.norm(hp, axis=(1, 2)), np.finfo(float).tiny)
 

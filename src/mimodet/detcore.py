@@ -7,9 +7,8 @@ Distances are evaluated in the expanded quadratic form
 
 with u = E_n x1re + F_n x1im on the real axis of layer n and
 u = E_n x1im - F_n x1re on the imaginary axis.  gbar drops the
-x-independent term |y|^2, which is kept as ``dropped_const`` so absolute
-distances ||y - Lx||^2 - b(x)'lam are reconstructible; candidate lists
-store the absolute value.
+x-independent term |y|^2; candidate lists add it back and store the
+absolute distances ||y - Lx||^2 - b(x)'lam.
 
 Every per-axis minimum comes from soft decision boundaries built per
 trial from that trial's priors (:func:`detect_one_sided_batch`);
@@ -236,18 +235,14 @@ class CandidateList:
     q-th enumerated point of ``layer`` (bit-lexicographic order) and the
     per-layer minimizers given it.  ``distances`` are absolute:
     ||y - Lx||^2 - b(x)'lam for L-based lists, ||ytilde - Hx||^2 -
-    b(x)'lam after rescoring.  ``dropped_const`` (= |y|^2) is the term
-    the expanded form drops; subtracting it recovers the relative form.
-    ``index`` (Q, N) holds each symbol's index into its layer's
-    constellation points.
+    b(x)'lam after rescoring.  ``index`` (Q, N) holds each symbol's
+    index into its layer's constellation points.
     """
 
     layer: int
-    perm: tuple[int, ...]
     symbols: np.ndarray
     distances: np.ndarray
     prior_bias: np.ndarray
-    dropped_const: float
     distance_mode: str  # "L" | "H"
     index: np.ndarray
 
@@ -258,7 +253,7 @@ class CandidateList:
         """This list as a batch of one trial."""
         return CandidateBatch(
             self.symbols[None], self.distances[None], self.prior_bias[None], self.index[None],
-            np.array([self.dropped_const]), self.layer, self.perm, self.distance_mode,
+            self.layer, self.distance_mode,
         )
 
 
@@ -267,31 +262,28 @@ class CandidateBatch(NamedTuple):
 
     A batch stacked over S sides (decompositions, see
     :func:`detect_one_sided_batch`) holds S T rows, side by side, and
-    the sides' layers and orders as tuples; :meth:`sides` splits it.
+    the sides' layers as a tuple; :meth:`sides` splits it.
     """
 
     symbols: np.ndarray  # (T, Q, N)
     distances: np.ndarray  # (T, Q)
     prior_bias: np.ndarray  # (T, Q)
     index: np.ndarray  # (T, Q, N)
-    dropped_const: np.ndarray  # (T,)
     layer: int | tuple[int, ...]
-    perm: tuple[int, ...] | tuple[tuple[int, ...], ...]
     distance_mode: str
 
     def row(self, t: int) -> CandidateList:
         return CandidateList(
-            self.layer, self.perm, self.symbols[t], self.distances[t], self.prior_bias[t],
-            float(self.dropped_const[t]), self.distance_mode, self.index[t],
+            self.layer, self.symbols[t], self.distances[t], self.prior_bias[t],
+            self.distance_mode, self.index[t],
         )
 
     def sides(self) -> list["CandidateBatch"]:
         """The one-side batches (views of its rows) of a stacked batch."""
         t = len(self.distances) // len(self.layer)
         return [
-            CandidateBatch(*(a[s * t:(s + 1) * t] for a in self[:5]), layer, perm,
-                           self.distance_mode)
-            for s, (layer, perm) in enumerate(zip(self.layer, self.perm))
+            CandidateBatch(*(a[s * t:(s + 1) * t] for a in self[:4]), layer, self.distance_mode)
+            for s, layer in enumerate(self.layer)
         ]
 
 
@@ -311,7 +303,7 @@ def _position_priors(priors, cons, perms, t):
         for perm, lam in zip(perms, lams):
             if lam.shape != (t, c.bits_per_symbol):
                 raise ValueError(f"layer {perm[i]}: expected {c.bits_per_symbol} priors")
-        out.append(lams[0] if len(lams) == 1 else np.concatenate(lams))
+        out.append(np.concatenate(lams))
     return out
 
 
@@ -319,43 +311,40 @@ def detect_one_sided_batch(
     l: np.ndarray,
     y: np.ndarray,
     constellations,
-    perm,
+    perms,
     priors=None,
 ) -> CandidateBatch:
-    """Enumerate the detection layer and slice all others, for T trials.
+    """Enumerate the detection layer and slice all others, for T trials of S sides.
 
-    ``l`` is (T, N, N) with the layers in decomposition order ``perm``,
-    ``y`` (T, N) the transformed observations W* ytilde.
-    ``constellations`` and ``priors`` are indexed by original layer;
-    ``priors`` is None or holds, per layer, None or (T, q_n) prior LLRs.
-
-    ``perm`` may instead list the orders of S sides whose layers carry
-    the same constellations position by position; ``l`` and ``y`` then
-    stack the sides' decompositions of the T trials side by side (as
+    ``perms`` lists the decomposition orders of S sides whose layers
+    carry the same constellations position by position; ``l`` (S T, N,
+    N) and ``y`` (S T, N) stack the sides' factors and transformed
+    observations W* ytilde of the T trials side by side (as
     :func:`~mimodet.decomp.punctured_decompose_batch` returns them), and
     so does the returned batch, each side's candidates in original layer
-    order (see :meth:`CandidateBatch.sides`).
+    order (see :meth:`CandidateBatch.sides`).  ``constellations`` and
+    ``priors`` are indexed by original layer; ``priors`` is None or
+    holds, per layer, None or (T, q_n) prior LLRs.
     """
     l = np.asarray(l, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n_rows, n, _ = l.shape
-    stacked = np.ndim(perm) == 2
-    perms = [tuple(p) for p in perm] if stacked else [tuple(perm)]
-    cons = [constellations[p] for p in perms[0]]
+    try:
+        perms = [tuple(p) for p in perms]
+        cons = [constellations[p] for p in perms[0]]
+    except (TypeError, IndexError):
+        raise ValueError("perms must list one decomposition order per side") from None
     if any(constellations[p[i]].order != c.order for p in perms for i, c in enumerate(cons)):
         raise ValueError("stacked sides must carry the same constellations in order")
-    lam = _position_priors(priors, cons, perms, n_rows // len(perms))
+    t, rest = divmod(n_rows, len(perms))
+    if rest:
+        raise ValueError("l and y must stack the same number of trials per side")
+    lam = _position_priors(priors, cons, perms, t)
     k = _constants(l, y)
 
-    if len(perms) == 1:
-        def put(out, i, value):
-            out[:, :, perms[0][i]] = value
-    else:
-        rows = np.arange(n_rows)
-        cols = np.repeat(perms, n_rows // len(perms), axis=0)
-
-        def put(out, i, value):
-            out[rows, :, cols[:, i]] = value
+    def put(out, i, value):
+        for s, perm in enumerate(perms):
+            out[s * t:(s + 1) * t, :, perm[i]] = value[s * t:(s + 1) * t]
 
     c0 = cons[0]
     pts = c0.points
@@ -373,8 +362,8 @@ def detect_one_sided_batch(
     q = len(pts)
     symbols = np.empty((n_rows, q, n), dtype=complex)
     index = np.empty((n_rows, q, n), dtype=np.intp)
-    put(symbols, 0, pts)
-    put(index, 0, np.arange(q))
+    put(symbols, 0, np.broadcast_to(pts, (n_rows, q)))
+    put(index, 0, np.broadcast_to(np.arange(q), (n_rows, q)))
     for i in range(1, n):
         c = cons[i]
         lam_re, lam_im = split_prior(c, lam[i])
@@ -393,10 +382,8 @@ def detect_one_sided_batch(
         put(index, i, c.level_grid[k_re, k_im])
 
     dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)
-    layer = tuple(p[0] for p in perms) if stacked else perms[0][0]
     return CandidateBatch(
-        symbols, gbar + dropped[:, None], total_bias, index, dropped, layer,
-        tuple(perms) if stacked else perms[0], "L",
+        symbols, gbar + dropped[:, None], total_bias, index, tuple(p[0] for p in perms), "L",
     )
 
 
@@ -420,7 +407,8 @@ def detect_one_sided(
         raise ValueError("observation length does not match decomposition")
     if priors is not None:
         priors = [None if lam is None else np.asarray(lam, dtype=float)[None] for lam in priors]
-    return detect_one_sided_batch(d.l[None], y[None], constellations, d.perm, priors).row(0)
+    cand = detect_one_sided_batch(d.l[None], y[None], constellations, [d.perm], priors)
+    return cand.sides()[0].row(0)
 
 
 def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> CandidateBatch:
@@ -432,11 +420,7 @@ def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> C
     y_tilde = np.asarray(y_tilde, dtype=complex)
     resid = y_tilde[:, None, :] - cand.symbols @ h.transpose(0, 2, 1)
     quad = np.sum(resid.real * resid.real + resid.imag * resid.imag, axis=2)
-    return cand._replace(
-        distances=quad - cand.prior_bias,
-        dropped_const=np.zeros(len(quad)),
-        distance_mode="H",
-    )
+    return cand._replace(distances=quad - cand.prior_bias, distance_mode="H")
 
 
 def rescore_candidates(clist: CandidateList, h: np.ndarray, y_tilde: np.ndarray) -> CandidateList:

@@ -32,14 +32,12 @@ class DetectionResult:
     hard: np.ndarray  # (N,) complex symbol vector
     dmin: float
     llr: tuple[np.ndarray, ...]  # per layer, (q_n,)
-    distance_mode: str  # "L" | "H" | "exact"
-    layers_used: tuple[int, ...]
-    hard_index: np.ndarray | None = None  # (N,) indices into each layer's points
+    hard_index: np.ndarray  # (N,) indices into each layer's points
 
     def row(self, t: int) -> "DetectionResult":
         """Trial t of a batched result."""
         return DetectionResult(self.hard[t], float(self.dmin[t]), tuple(lam[t] for lam in self.llr),
-                               self.distance_mode, self.layers_used, self.hard_index[t])
+                               self.hard_index[t])
 
 
 def partition_minima(distances: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +143,7 @@ def two_sided_batch(
                  for layer, cand in enumerate((cand1, cand2)))
     if not all(np.isfinite(lam).all() for lam in llrs):
         raise AssertionError("bit partition empty despite full enumeration")
-    return DetectionResult(hard, dmin, llrs, cand1.distance_mode, (0, 1), hard_index)
+    return DetectionResult(hard, dmin, llrs, hard_index)
 
 
 def combine_batch(batches, constellations) -> DetectionResult:
@@ -161,13 +159,11 @@ def combine_batch(batches, constellations) -> DetectionResult:
     batches = sorted(batches, key=lambda cand: cand.layer)
     if [cand.layer for cand in batches] != list(range(len(constellations))):
         raise ValueError("need exactly one list per layer")
-    modes = {cand.distance_mode for cand in batches}
-    if len(modes) != 1:
+    if len({cand.distance_mode for cand in batches}) != 1:
         raise ValueError("lists mix distance modes")
     hard, dmin, hard_index = best_candidates(batches)
     llrs = tuple(_llr(batches, layer, c) for layer, c in enumerate(constellations))
-    return DetectionResult(hard, dmin, llrs, modes.pop(),
-                           tuple(cand.layer for cand in batches), hard_index)
+    return DetectionResult(hard, dmin, llrs, hard_index)
 
 
 def llr_two_sided(list1: CandidateList, list2: CandidateList, constellations) -> DetectionResult:

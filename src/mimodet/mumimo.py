@@ -9,13 +9,13 @@ tones:
 
 and keeping the minimizer (ties go to the smaller constellation, which
 the penalty term already prefers).  Per-tone minimization enumerates
-the desired symbol and slices the interferer, reusing the one-sided
-detector core, so the same distance lists later produce the LLRs.
+the desired symbol and slices the interferer on the one-sided detector
+core, which also gives the desired user's LLRs on a tone (:func:`mu_llr`).
 
-Monte-Carlo runs score many windows at several noise levels at once
-(:func:`window_scores`): the channels are factored once, every tone is
-detected in a few batched calls per hypothesis, and each window scores
-exactly as :func:`classify_interferer` scores it alone.
+One scoring loop serves every caller (:func:`window_scores`): it scores
+many windows at several noise levels at once, factoring the channels
+once and detecting every tone in a few batched calls per hypothesis;
+:func:`classify_interferer` runs it on one window at one noise level.
 
 Transmitted symbols are unit energy per user: the effective channel
 column for a constellation c is the raw column scaled by
@@ -24,7 +24,7 @@ column for a constellation c is the raw column scaled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +64,6 @@ class MuScenario:
     channels: np.ndarray  # (K, 2, 2) complex
     observations: np.ndarray  # (K, 2) complex
     desired: Constellation
-    hypotheses: tuple[Constellation, ...]
     noise_var: float
 
     @classmethod
@@ -79,8 +78,7 @@ class MuScenario:
             desired = make_constellation(desired)
         if not 0 < noise_var < np.inf:
             raise ValueError("noise_var must be positive and finite")
-        hyps = tuple(make_constellation(q) for q in MU_HYPOTHESIS_ORDERS)
-        return cls(channels, observations, desired, hyps, float(noise_var))
+        return cls(channels, observations, desired, float(noise_var))
 
     @property
     def n_tones(self) -> int:
@@ -92,7 +90,6 @@ class MuClassification:
     chosen: Constellation
     scores: dict[int, float]  # hypothesis order -> penalized score
     distance_sums: dict[int, float]  # hypothesis order -> sum of per-tone minima
-    lists: dict[int, CandidateBatch] = field(repr=False)  # order -> one row per tone
 
 
 class _ToneFactors(NamedTuple):
@@ -155,13 +152,6 @@ def _detection_rows(f: _ToneFactors, y, lo, hi):
     return l, y.reshape(-1, 2)[lo:hi]
 
 
-def _window_rows(s: MuScenario, tones: slice):
-    """Detection rows (l, y) of the window's tones ``tones``, one row per tone."""
-    f = _tone_factors(s.channels[None, tones], s.desired, tone0=tones.start)
-    y = _transform(f, s.observations[None, None, tones])
-    return _detection_rows(f, y, 0, tones.stop - tones.start)
-
-
 def _hypothesis_batch(l, y, desired: Constellation, hyp: Constellation) -> CandidateBatch:
     """Candidate lists of every row (tone) under one interferer hypothesis.
 
@@ -170,18 +160,25 @@ def _hypothesis_batch(l, y, desired: Constellation, hyp: Constellation) -> Candi
     """
     l_hyp = l.copy()
     l_hyp[:, :, 1] *= hyp.unit_energy_scale
-    return detect_one_sided_batch(l_hyp, y, (desired, hyp), perm=(0, 1))
+    return detect_one_sided_batch(l_hyp, y, (desired, hyp), [(0, 1)])
 
 
-def _scores(minima, noise_var, hypotheses):
-    """Distance sums and penalized scores (H, ...) of per-tone minima (H, ..., K).
-
-    ``noise_var`` broadcasts against the sums of one hypothesis.
-    """
-    k = minima.shape[-1]
-    sums = minima.sum(axis=-1)
-    penalty = np.array([k * np.log(hyp.order) for hyp in hypotheses])
-    return sums, penalty.reshape((-1,) + (1,) * (sums.ndim - 1)) + sums / noise_var
+def _sums_and_scores(channels, observations, desired: Constellation, noise_var, scenario0=0):
+    """Distance sums and penalized scores, both (H, P, S); see :func:`window_scores`."""
+    f = _tone_factors(channels, desired, scenario0)
+    y = _transform(f, observations)
+    n_rows = y.size // 2
+    step = max(1, BATCH_CELLS // desired.order)
+    minima = np.empty((len(MU_HYPOTHESIS_ORDERS), n_rows))
+    for i, order in enumerate(MU_HYPOTHESIS_ORDERS):
+        hyp = make_constellation(order)
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            cand = _hypothesis_batch(*_detection_rows(f, y, lo, hi), desired, hyp)
+            minima[i, lo:hi] = cand.distances.min(axis=1)
+    sums = minima.reshape((len(MU_HYPOTHESIS_ORDERS),) + y.shape[:3]).sum(axis=-1)
+    penalty = np.array([y.shape[2] * np.log(order) for order in MU_HYPOTHESIS_ORDERS])
+    return sums, penalty[:, None, None] + sums / np.asarray(noise_var)[:, None]
 
 
 def window_scores(channels, observations, desired: Constellation, noise_var,
@@ -194,61 +191,43 @@ def window_scores(channels, observations, desired: Constellation, noise_var,
     so its argmin picks each window's hypothesis.  The channels are
     factored once.  Each hypothesis detects every (level, scenario, tone)
     row in calls of at most ``BATCH_CELLS // desired.order`` rows and
-    keeps only each row's minimum; a window's score equals
-    :func:`classify_interferer`'s.  A vanishing desired column raises,
+    keeps only each row's minimum; a row's minimum does not depend on
+    the call it ran in, so a window scores as it does alone
+    (:func:`classify_interferer`).  A vanishing desired column raises,
     naming scenario ``scenario0 + s``.
     """
-    hypotheses = tuple(make_constellation(q) for q in MU_HYPOTHESIS_ORDERS)
-    f = _tone_factors(channels, desired, scenario0)
-    y = _transform(f, observations)
-    n_rows = y.size // 2
-    step = max(1, BATCH_CELLS // desired.order)
-    minima = np.empty((len(hypotheses), n_rows))
-    for i, hyp in enumerate(hypotheses):
-        for lo in range(0, n_rows, step):
-            hi = min(lo + step, n_rows)
-            cand = _hypothesis_batch(*_detection_rows(f, y, lo, hi), desired, hyp)
-            minima[i, lo:hi] = cand.distances.min(axis=1)
-    minima = minima.reshape((len(hypotheses),) + y.shape[:3])
-    return _scores(minima, np.asarray(noise_var)[:, None], hypotheses)[1]
+    return _sums_and_scores(channels, observations, desired, noise_var, scenario0)[1]
 
 
 def classify_interferer(s: MuScenario) -> MuClassification:
     """Score every interferer hypothesis over the window and pick the best.
 
-    The tones' candidate lists are computed as one batch per hypothesis
-    and returned for reuse by :func:`mu_llr`.
+    The window is scored as one scenario at one noise level by the
+    detection loop of :func:`window_scores`.
     """
-    rows = _window_rows(s, slice(0, s.n_tones))
-    lists = {hyp.order: _hypothesis_batch(*rows, s.desired, hyp) for hyp in s.hypotheses}
-    minima = np.stack([cand.distances.min(axis=1) for cand in lists.values()])
-    sums, scores = _scores(minima, s.noise_var, s.hypotheses)
-    chosen = s.hypotheses[int(np.argmin(scores))]
-    return MuClassification(
-        chosen, dict(zip(lists, scores.tolist())), dict(zip(lists, sums.tolist())), lists
-    )
+    sums, scores = (a[:, 0, 0] for a in _sums_and_scores(
+        s.channels[None], s.observations[None, None], s.desired, np.array([s.noise_var])))
+    chosen = make_constellation(MU_HYPOTHESIS_ORDERS[int(np.argmin(scores))])
+    return MuClassification(chosen, dict(zip(MU_HYPOTHESIS_ORDERS, scores.tolist())),
+                            dict(zip(MU_HYPOTHESIS_ORDERS, sums.tolist())))
 
 
-def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int,
-           classification: MuClassification | None = None) -> np.ndarray:
+def mu_llr(s: MuScenario, hypothesis: Constellation, tone: int) -> np.ndarray:
     """Bit LLRs of the desired symbol on one tone under a hypothesis.
 
     Each LLR is the difference of partition minima of the noise-scaled
     distance d = ||y - Hx||^2 / sigma^2, minimized over the hypothesized
-    interferer constellation.  Reuses classification lists when given;
-    otherwise factors and detects the one tone.
+    interferer constellation.  Factors and detects the one tone.
     """
     if not 0 <= tone < s.n_tones:
         raise ValueError(f"tone {tone} out of range")
-    orders = {h.order for h in s.hypotheses}
-    if hypothesis.order not in orders:
+    if hypothesis.order not in MU_HYPOTHESIS_ORDERS:
         raise ValueError(f"hypothesis {hypothesis.scheme.name} not in the allowed set")
-    if classification is not None and hypothesis.order in classification.lists:
-        cand, row = classification.lists[hypothesis.order], tone
-    else:
-        rows = _window_rows(s, slice(tone, tone + 1))
-        cand, row = _hypothesis_batch(*rows, s.desired, hypothesis), 0
-    pos, neg = partition_minima(cand.distances[row], s.desired.point_bits[cand.index[row, :, 0]])
+    tones = slice(tone, tone + 1)
+    f = _tone_factors(s.channels[None, tones], s.desired, tone0=tone)
+    y = _transform(f, s.observations[None, None, tones])
+    cand = _hypothesis_batch(f.l[0], y[0, 0], s.desired, hypothesis)
+    pos, neg = partition_minima(cand.distances[0], s.desired.point_bits[cand.index[0, :, 0]])
     return (pos - neg) / s.noise_var
 
 

@@ -64,8 +64,6 @@ def exhaustive_map(m, y, constellations, priors=None) -> DetectionResult:
         hard=x[imin],
         dmin=float(d[imin]),
         llr=tuple(llrs),
-        distance_mode="exact",
-        layers_used=tuple(range(n)),
         hard_index=idx[imin],
     )
 

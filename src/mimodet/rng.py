@@ -8,17 +8,19 @@ stream with key
 (:func:`trial_key`), so trial data is a pure function of those
 integers: results cannot depend on worker count or execution order,
 and the seeding recipe is portable to any environment with a Philox
-generator.  Contexts separate experiment families (sweeps, MU-MIMO
-scenarios, ...) that share a master seed.
+generator.  Contexts separate experiment families (sweeps, batch
+experiments, MU-MIMO scenarios) that share a master seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trial_key", "trial_rng", "CONTEXT_SWEEP", "CONTEXT_MUMIMO"]
+__all__ = ["trial_key", "trial_rng", "trial_streams", "CONTEXT_SWEEP", "CONTEXT_BATCH",
+           "CONTEXT_MUMIMO"]
 
 CONTEXT_SWEEP = 0
+CONTEXT_BATCH = 1
 CONTEXT_MUMIMO = 2
 
 _MASK64 = (1 << 64) - 1
@@ -40,3 +42,21 @@ def trial_key(master_seed: int, snr_idx: int, trial_idx: int, context: int = 0) 
 
 def trial_rng(master_seed: int, snr_idx: int, trial_idx: int, context: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=trial_key(master_seed, snr_idx, trial_idx, context)))
+
+
+def trial_streams(master_seed: int, snr_idx: int, trials, context: int = 0):
+    """Yield, for each trial index in ``trials``, a generator on that trial's stream.
+
+    One Philox is re-keyed to each stream in turn, which draws exactly
+    what :func:`trial_rng` would; each generator is valid until the next
+    one is yielded.
+    """
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh stream: zero counter, empty buffers
+    counter = state["state"]["counter"]
+    for trial in trials:
+        state["state"] = {"counter": counter,
+                          "key": trial_key(master_seed, snr_idx, trial, context)}
+        bitgen.state = state
+        yield rng

@@ -45,7 +45,7 @@ from .hwmodel import FixedPointFormat, quantize
 from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
 from .mumimo import MU_HYPOTHESIS_ORDERS, window_scores
 from .oracle import ENUM_BUDGET, exhaustive_map
-from .rng import CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_key, trial_rng
+from .rng import CONTEXT_BATCH, CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_rng, trial_streams
 
 __all__ = [
     "SimConfig",
@@ -63,8 +63,6 @@ __all__ = [
     "uncoded_ver_point",
     "mu_classification_rates",
 ]
-
-CONTEXT_BATCH = 1
 
 _DETECTORS = ("map2", "wld", "oracle")
 _SWEEP_CHUNK = 64  # trials per sweep draw and reduction; fixes the float sum order
@@ -202,9 +200,6 @@ def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, q
     def q(v):
         return quantize(v, quant) if quant is not None else v
 
-    def stacked(a, s):
-        return a if s == 1 else np.concatenate([a] * s)
-
     if priors is not None:
         priors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
     if rescore:
@@ -213,11 +208,12 @@ def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, q
     batches = [None] * sides
     for call in _side_calls(constellations, sides, len(h_eff)):
         w, l = punctured_decompose_batch(h_eff, call)
-        yt = transform_observation_batch(w, stacked(y_tilde, len(call)))
+        yt = transform_observation_batch(w, np.concatenate([y_tilde] * len(call)))
         perms = [tuple((m + i) % n for i in range(n)) for m in call]
         cand = detect_one_sided_batch(q(l), q(yt), constellations, perms, priors)
         if rescore:
-            cand = rescore_batch(cand, stacked(h_q, len(call)), stacked(y_q, len(call)))
+            cand = rescore_batch(cand, np.concatenate([h_q] * len(call)),
+                                 np.concatenate([y_q] * len(call)))
         if quant is not None:
             cand = cand._replace(distances=quantize(cand.distances, quant))
         for m, side in zip(call, cand.sides()):
@@ -254,8 +250,7 @@ def detect_batch(
                for t in range(len(h_eff))]
         return DetectionResult(
             np.stack([r.hard for r in res]), np.array([r.dmin for r in res]),
-            tuple(map(np.stack, zip(*(r.llr for r in res)))), res[0].distance_mode,
-            res[0].layers_used,
+            tuple(map(np.stack, zip(*(r.llr for r in res)))),
             np.stack([r.hard_index for r in res]),
         )
     sides = 2 if detector == "map2" else len(constellations)
@@ -308,28 +303,21 @@ def _reduce_chunks(run_chunk, jobs, threads):
 def _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
     """Draw sweep trials [lo, hi) of one SNR point, one counter-based stream each.
 
-    One Philox is re-keyed to each trial's stream (the same draws as
-    :func:`~mimodet.rng.trial_rng`); the draws fill preallocated arrays
-    and the observations are formed for the whole chunk at once.
+    The draws (:func:`~mimodet.rng.trial_streams`) fill preallocated
+    arrays and the observations are formed for the whole chunk at once.
     Returns (h_eff (T, N, N), transmitted indices (T, N), y_tilde (T, N),
     priors: None or per layer (T, q_n)).
     """
     n = cfg.n_layers
     lo, hi = bounds
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh stream: zero counter, empty buffers
-    counter = state["state"]["counter"]
     orders = np.array([c.order for c in cons])
     q = [c.bits_per_symbol for c in cons]
     h = np.empty((hi - lo, n, n), dtype=complex)
     tx = np.empty((hi - lo, n), dtype=np.int64)
     noise = np.empty((hi - lo, 2, n))
     lam = np.empty((hi - lo, sum(q))) if cfg.priors_mode == "random" else None
-    for j, trial in enumerate(range(lo, hi)):
-        state["state"] = {"counter": counter,
-                          "key": trial_key(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)}
-        bitgen.state = state
+    streams = trial_streams(cfg.master_seed, snr_idx, range(lo, hi), CONTEXT_SWEEP)
+    for j, rng in enumerate(streams):
         h[j] = generate_channel(rng, n)
         tx[j] = rng.integers(orders)
         noise[j] = rng.standard_normal((2, n))
@@ -662,6 +650,16 @@ def wld_hard_batch(h_eff, y_tilde, constellations) -> np.ndarray:
     return out
 
 
+def _check_run(snr_name, snr_db, **counts):
+    """Reject an empty or non-finite SNR value or grid and counts below 1, naming each."""
+    snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
+    if snr_db.size == 0 or not np.all(np.isfinite(snr_db)):
+        raise ValueError(f"{snr_name} must be non-empty and finite")
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 def uncoded_ver_point(
     master_seed: int,
     snr_idx: int,
@@ -676,6 +674,7 @@ def uncoded_ver_point(
     drawn in 2048-trial chunks with one counter-based stream each.
     Returns {"wld": rate, "ml": rate}.
     """
+    _check_run("snr_db", snr_db, trials=trials, threads=threads)
     cons = tuple(make_constellation(q) for q in mods)
 
     def run_chunk(bounds):
@@ -706,8 +705,7 @@ def _draw_mu_chunk(master_seed, bounds, n_tones, des, intf):
     h = np.empty((hi - lo, n_tones, 2, 2), dtype=complex)
     signal = np.empty((hi - lo, n_tones, 2), dtype=complex)
     base = np.empty_like(signal)
-    for j, i in enumerate(range(lo, hi)):
-        rng = trial_rng(master_seed, 0, i, CONTEXT_MUMIMO)
+    for j, rng in enumerate(trial_streams(master_seed, 0, range(lo, hi), CONTEXT_MUMIMO)):
         re = rng.standard_normal((n_tones, 2, 2))
         im = rng.standard_normal((n_tones, 2, 2))
         h[j] = (re + 1j * im) * np.sqrt(0.5)
@@ -738,6 +736,7 @@ def mu_classification_rates(
     its channels are factored once, and each hypothesis detects all of
     the chunk's tones in a few batched calls.
     """
+    _check_run("snr_db_grid", snr_db_grid, n_tones=n_tones, scenarios=scenarios, threads=threads)
     des = make_constellation(desired_order)
     intf = make_constellation(interferer_order)
     sigma2 = np.array([2.0 / 10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])

@@ -183,9 +183,16 @@ def test_punctured_batch_matches_scalar():
     rng = np.random.default_rng(8)
     h = crandn(rng, 64, 4, 4)
     for layer in range(4):
-        w, l = punctured_decompose_batch(h, layer)
+        w, l = punctured_decompose_batch(h, [layer])
         for t in range(0, 64, 7):
             d = punctured_decompose(h[t], layer)
             scale = np.linalg.norm(h[t])
             assert np.allclose(w[t], d.w, rtol=1e-10, atol=1e-12)
             assert np.allclose(l[t], d.l, rtol=1e-10, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("layers", [1, [[0, 1]], [0.5]])
+def test_punctured_batch_rejects_a_bare_layer(layers):
+    h = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    with pytest.raises(ValueError, match="list the detection layers"):
+        punctured_decompose_batch(h, layers)

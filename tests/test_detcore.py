@@ -256,7 +256,6 @@ def test_detect_bpsk_hand_case():
     assert cl.distances.tolist() == [0.0, 8.0]
     assert cl.symbols[:, 0].tolist() == [1, -1]
     assert cl.symbols[:, 1].tolist() == [1, 1]
-    assert cl.dropped_const == 5.0
 
 
 def test_detect_zero_noise_transmitted_attains_minimum():
@@ -347,7 +346,7 @@ def test_detect_scaling_invariance(seed, scale):
 
 
 def test_detect_relative_form_bookkeeping():
-    # absolute distance minus the dropped constant equals the expanded form
+    # the expanded form plus the dropped |y|^2 gives the absolute distances
     rng = RNG(16)
     cons = (make_constellation(16), make_constellation(16))
     h = crandn(rng, 2, 2)
@@ -355,7 +354,6 @@ def test_detect_relative_form_bookkeeping():
     d = punctured_decompose(h, 0)
     y = transform_observation(d, yt)
     cl = detect_one_sided(d, y, cons)
-    assert cl.dropped_const == pytest.approx(np.sum(np.abs(y) ** 2), rel=1e-12)
     direct = np.array([
         np.sum(np.abs(y - d.l @ cl.symbols[i]) ** 2) for i in range(len(cl))
     ])
@@ -382,7 +380,7 @@ def test_batch_kernel_bit_exact_vs_scalar():
         ys.append(transform_observation(d, crandn(rng, 4)))
     l = np.stack(ls)
     y = np.stack(ys)
-    sym, dist = detect_one_sided_batch(l, y, cons, perm=(1, 2, 3, 0))[:2]
+    sym, dist = detect_one_sided_batch(l, y, cons, [(1, 2, 3, 0)])[:2]
     for t in range(20):
         d = PuncturedDecomposition(w=np.eye(4, dtype=complex), l=l[t], layer=1, perm=(1, 2, 3, 0))
         cl = detect_one_sided(d, y[t], cons)
@@ -395,13 +393,23 @@ def test_stacked_sides_need_the_same_constellations_in_order():
     l = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
     y = np.zeros((4, 3), dtype=complex)
     with pytest.raises(ValueError, match="same constellations"):
-        detect_one_sided_batch(l, y, cons, perm=[(0, 1, 2), (1, 2, 0)])
+        detect_one_sided_batch(l, y, cons, [(0, 1, 2), (1, 2, 0)])
     cons = tuple(make_constellation(q) for q in (16, 4, 16, 4))
     l = np.tile(np.eye(4, dtype=complex), (4, 1, 1))
     sides = detect_one_sided_batch(l, np.zeros((4, 4), dtype=complex), cons,
-                                   perm=[(0, 1, 2, 3), (2, 3, 0, 1)]).sides()
-    assert [(b.layer, b.perm, len(b.distances)) for b in sides] == [
-        (0, (0, 1, 2, 3), 2), (2, (2, 3, 0, 1), 2)]
+                                   [(0, 1, 2, 3), (2, 3, 0, 1)]).sides()
+    assert [(b.layer, len(b.distances)) for b in sides] == [(0, 2), (2, 2)]
+    with pytest.raises(ValueError, match="same number of trials per side"):
+        detect_one_sided_batch(l[:3], np.zeros((3, 4), dtype=complex), cons,
+                               [(0, 1, 2, 3), (2, 3, 0, 1)])
+
+
+@pytest.mark.parametrize("perms", [0, (0, 1), [], [0, 1]])
+def test_a_bare_or_flat_perm_is_rejected(perms):
+    cons = (make_constellation(4),) * 2
+    l = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    with pytest.raises(ValueError, match="one decomposition order per side"):
+        detect_one_sided_batch(l, np.zeros((3, 2), dtype=complex), cons, perms)
 
 
 # --- rescoring -------------------------------------------------------------

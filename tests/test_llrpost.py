@@ -28,13 +28,12 @@ def two_sided_lists(h, yt, cons, priors=None):
     return out
 
 
-def manual_list(symbols, distances, layer=0, n=2):
+def manual_list(symbols, distances, layer=0):
     """A hand-built list of BPSK symbol vectors."""
     symbols = np.asarray(symbols, dtype=complex)
     return CandidateList(
-        layer=layer, perm=tuple(range(n)), symbols=symbols,
-        distances=np.asarray(distances, dtype=float),
-        prior_bias=np.zeros(len(distances)), dropped_const=0.0, distance_mode="L",
+        layer=layer, symbols=symbols, distances=np.asarray(distances, dtype=float),
+        prior_bias=np.zeros(len(distances)), distance_mode="L",
         index=make_constellation(2).point_indices(symbols),
     )
 
@@ -250,9 +249,8 @@ def test_llr_of_a_reordered_own_layer_list():
     order = rng.permutation(16)
     cl = lists[0]
     shuffled = CandidateList(
-        layer=cl.layer, perm=cl.perm, symbols=cl.symbols[order], distances=cl.distances[order],
-        prior_bias=cl.prior_bias[order], dropped_const=cl.dropped_const,
-        distance_mode=cl.distance_mode, index=cl.index[order],
+        layer=cl.layer, symbols=cl.symbols[order], distances=cl.distances[order],
+        prior_bias=cl.prior_bias[order], distance_mode=cl.distance_mode, index=cl.index[order],
     )
     want = llr_two_sided(cl, lists[1], cons)
     got = llr_two_sided(shuffled, lists[1], cons)

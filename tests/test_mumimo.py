@@ -88,20 +88,10 @@ def bruteforce_llr(s, hyp, k):
 def test_mu_llr_matches_bruteforce():
     rng = np.random.default_rng(1)
     s = draw_scenario(rng, 6, 16, 4, 0.05)
-    cls = classify_interferer(s)
     intf = make_constellation(4)
     for k in range(s.n_tones):
-        assert np.allclose(mu_llr(s, intf, k, cls), bruteforce_llr(s, intf, k),
+        assert np.allclose(mu_llr(s, intf, k), bruteforce_llr(s, intf, k),
                            rtol=1e-9, atol=1e-9)
-
-
-def test_mu_llr_without_cached_classification():
-    rng = np.random.default_rng(2)
-    s = draw_scenario(rng, 3, 16, 16, 0.1)
-    cls = classify_interferer(s)
-    intf = make_constellation(16)
-    for k in range(s.n_tones):
-        assert np.array_equal(mu_llr(s, intf, k), mu_llr(s, intf, k, cls))
 
 
 def test_mu_llr_zero_noise_sign():
@@ -145,11 +135,11 @@ def test_degenerate_interferer_reduces_to_single_user():
     h[2, :, 1] = 0
     s = MuScenario.create(h, s.observations, s.desired, s.noise_var)
     cls = classify_interferer(s)
-    for hyp in s.hypotheses:
+    for hyp in map(make_constellation, MU_HYPOTHESIS_ORDERS):
         want = sum(bruteforce_distances(s, hyp, k).min() for k in range(s.n_tones))
         assert cls.distance_sums[hyp.order] == pytest.approx(want, rel=1e-9)
         for k in range(s.n_tones):
-            assert np.allclose(mu_llr(s, hyp, k, cls), bruteforce_llr(s, hyp, k),
+            assert np.allclose(mu_llr(s, hyp, k), bruteforce_llr(s, hyp, k),
                                rtol=1e-9, atol=1e-9)
 
 

@@ -310,6 +310,26 @@ def test_mu_classification_rates_trend():
     assert rates[1] >= 0.9
 
 
+_VER_ARGS = dict(master_seed=0, snr_idx=0, snr_db=10.0, mods=(4,) * 4, trials=8)
+_MU_ARGS = dict(master_seed=0, n_tones=4, desired_order=16, interferer_order=16,
+                snr_db_grid=(10.0,), scenarios=4)
+
+
+@pytest.mark.parametrize("call,args,bad,name", [
+    (uncoded_ver_point, _VER_ARGS, dict(trials=0), "trials"),
+    (uncoded_ver_point, _VER_ARGS, dict(snr_db=float("nan")), "snr_db"),
+    (uncoded_ver_point, _VER_ARGS, dict(threads=0), "threads"),
+    (mu_classification_rates, _MU_ARGS, dict(n_tones=0), "n_tones"),
+    (mu_classification_rates, _MU_ARGS, dict(scenarios=0), "scenarios"),
+    (mu_classification_rates, _MU_ARGS, dict(snr_db_grid=()), "snr_db_grid"),
+    (mu_classification_rates, _MU_ARGS, dict(snr_db_grid=(10.0, float("inf"))), "snr_db_grid"),
+    (mu_classification_rates, _MU_ARGS, dict(threads=0), "threads"),
+])
+def test_batch_experiments_reject_bad_input_naming_the_parameter(call, args, bad, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call(**{**args, **bad})
+
+
 def per_window_mu_rates(master_seed, n_tones, desired, interferer, grid, scenarios):
     """Reference rates: one scenario draw and one classify_interferer per (scenario, SNR) window."""
     des, intf = make_constellation(desired), make_constellation(interferer)
@@ -629,10 +649,10 @@ def _per_side_batches(h, y, cons, priors, sides, rescore, quant):
     n = len(cons)
     out = []
     for m in range(sides):
-        w, l = punctured_decompose_batch(h, m)
+        w, l = punctured_decompose_batch(h, [m])
         yt = transform_observation_batch(w, y)
-        cand = detect_one_sided_batch(q(l), q(yt), cons, tuple((m + i) % n for i in range(n)),
-                                      priors)
+        perm = tuple((m + i) % n for i in range(n))
+        cand = detect_one_sided_batch(q(l), q(yt), cons, [perm], priors).sides()[0]
         if rescore:
             cand = rescore_batch(cand, q(h), q(y))
         if quant is not None:
@@ -686,8 +706,8 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
     got = sh._candidate_batches(h, y, cons, lam, sides, rescore, quant)
     want = _per_side_batches(h, y, cons, lam, sides, rescore, quant)
     for a, b in zip(got, want, strict=True):
-        assert (a.layer, a.perm, a.distance_mode) == (b.layer, b.perm, b.distance_mode)
-        for name in ("symbols", "distances", "prior_bias", "index", "dropped_const"):
+        assert (a.layer, a.distance_mode) == (b.layer, b.distance_mode)
+        for name in ("symbols", "distances", "prior_bias", "index"):
             assert _same_bytes(getattr(a, name), getattr(b, name)), name
     res = detect_batch(h, y, cons, lam, detector, mode, quant)
     hard, dmin, hard_index = best_candidates(want)
@@ -718,7 +738,7 @@ def test_cli_exit_code_on_minima_mismatch(monkeypatch, capsys):
         # the sides come out stacked side by side: skew side 1's rows
         w, l = real(h, layers)
         t = len(h)
-        for s, m in enumerate(np.atleast_1d(layers)):
+        for s, m in enumerate(layers):
             if m == 1:
                 l[s * t:(s + 1) * t] *= 2.0
         return w, l
