@@ -21,7 +21,6 @@ from .decomp import (
     transform_observation,
 )
 from .detcore import (
-    CandidateList,
     DistanceConstants,
     SlicerTable,
     build_slicer_table,

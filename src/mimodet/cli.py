@@ -33,8 +33,8 @@ from .hwmodel import (
     count_coprime_pairs,
     count_distinct_terms,
 )
-from .mumimo import MU_HYPOTHESIS_ORDERS
-from .simharness import SNR_GRID_LIMIT, SimConfig, mu_classification_rates, run_sweep
+from .simharness import (SNR_GRID_LIMIT, SimConfig, _check_mu_run, mu_classification_rates,
+                         run_sweep)
 
 _SUBCOMMANDS = ("sweep", "mumimo", "tables")
 
@@ -152,8 +152,8 @@ def _cmd_mumimo(args) -> int:
     snr = _parse_snr_grid(args.snr)
     interferers = _parse_mods(args.interferer)
     for q in interferers:
-        if q not in MU_HYPOTHESIS_ORDERS:
-            raise ConfigError(f"interferer order {q} not in hypothesis set {MU_HYPOTHESIS_ORDERS}")
+        _check_mu_run(snr, args.k, q, args.trials, args.threads,
+                      names=("--snr", "--k", "--interferer", "--trials", "--threads"))
     make_constellation(args.desired)
     _check_out(args.out)
 

@@ -15,11 +15,11 @@ trial from that trial's priors (:func:`detect_one_sided_batch`);
 ``oracle.exhaustive_axis_argmin`` is the brute-force reference they
 match at exact ties and away from breakpoints.  The kernels carry a
 leading trial axis T and treat each trial on its own, so a trial's
-result does not depend on the batch it ran in; ``build_slicer_table``,
-``detect_one_sided`` and
-``rescore_candidates`` are their T=1 views.  Priors are accepted
-pre-scaled (the 1/sigma^2 of the prior-LLR definition is the caller's
-responsibility).
+result does not depend on the batch it ran in.  ``build_slicer_table``
+is the T=1 view of the slicer tables; ``detect_one_sided`` and
+``rescore_candidates`` return one-trial :class:`CandidateBatch`es.
+Priors are None or one array per layer, accepted pre-scaled (the
+1/sigma^2 of the prior-LLR definition is the caller's responsibility).
 
 Tie conventions, fixed for determinism: slicer intervals are closed at
 the lower edge (lo <= u < hi), and equal-distance candidates resolve to
@@ -42,7 +42,6 @@ __all__ = [
     "SlicerTable",
     "build_slicer_table",
     "soft_slice",
-    "CandidateList",
     "CandidateBatch",
     "detect_one_sided",
     "detect_one_sided_batch",
@@ -227,38 +226,17 @@ def _slice_axis(axis: PamAxis, quad, offset, lam, u):
     return k, val, b_hat
 
 
-@dataclass(frozen=True)
-class CandidateList:
-    """Symbol vectors enumerated on one layer with sliced companions.
-
-    ``symbols`` is (Q, N) in original layer order, row q holding the
-    q-th enumerated point of ``layer`` (bit-lexicographic order) and the
-    per-layer minimizers given it.  ``distances`` are absolute:
-    ||y - Lx||^2 - b(x)'lam for L-based lists, ||ytilde - Hx||^2 -
-    b(x)'lam after rescoring.  ``index`` (Q, N) holds each symbol's
-    index into its layer's constellation points.
-    """
-
-    layer: int
-    symbols: np.ndarray
-    distances: np.ndarray
-    prior_bias: np.ndarray
-    distance_mode: str  # "L" | "H"
-    index: np.ndarray
-
-    def __len__(self):
-        return len(self.distances)
-
-    def batch(self) -> "CandidateBatch":
-        """This list as a batch of one trial."""
-        return CandidateBatch(
-            self.symbols[None], self.distances[None], self.prior_bias[None], self.index[None],
-            self.layer, self.distance_mode,
-        )
-
-
 class CandidateBatch(NamedTuple):
-    """Candidate lists of T trials from one decomposition (see :class:`CandidateList`).
+    """Candidate lists of T trials from one decomposition.
+
+    Each list holds symbol vectors enumerated on one layer with sliced
+    companions: row q of trial t holds the q-th enumerated point of
+    ``layer`` (bit-lexicographic order) and the per-layer minimizers
+    given it, in original layer order.  ``distances`` are absolute:
+    ||y - Lx||^2 - b(x)'lam for L-based lists, ||ytilde - Hx||^2 -
+    b(x)'lam after rescoring.  ``index`` holds each symbol's index into
+    its layer's constellation points.  ``len()`` of a batch counts its
+    fields; its candidates number ``distances.shape[1]``.
 
     A batch stacked over S sides (decompositions, see
     :func:`detect_one_sided_batch`) holds S T rows, side by side, and
@@ -270,13 +248,7 @@ class CandidateBatch(NamedTuple):
     prior_bias: np.ndarray  # (T, Q)
     index: np.ndarray  # (T, Q, N)
     layer: int | tuple[int, ...]
-    distance_mode: str
-
-    def row(self, t: int) -> CandidateList:
-        return CandidateList(
-            self.layer, self.symbols[t], self.distances[t], self.prior_bias[t],
-            self.distance_mode, self.index[t],
-        )
+    distance_mode: str  # "L" | "H"
 
     def sides(self) -> list["CandidateBatch"]:
         """The one-side batches (views of its rows) of a stacked batch."""
@@ -290,16 +262,13 @@ class CandidateBatch(NamedTuple):
 def _position_priors(priors, cons, perms, t):
     """Prior LLRs (S T, q) of each decomposition position, stacked over the sides.
 
-    ``priors`` is indexed by original layer; a layer without priors gets zeros.
+    ``priors`` is None (zeros) or one (T, q_n) array per original layer.
     """
+    if priors is None:
+        return [np.zeros((len(perms) * t, c.bits_per_symbol)) for c in cons]
     out = []
     for i, c in enumerate(cons):
-        lams = [None if priors is None else priors[perm[i]] for perm in perms]
-        if all(lam is None for lam in lams):
-            out.append(np.zeros((len(perms) * t, c.bits_per_symbol)))
-            continue
-        lams = [np.zeros((t, c.bits_per_symbol)) if lam is None else np.asarray(lam, dtype=float)
-                for lam in lams]
+        lams = [np.asarray(priors[perm[i]], dtype=float) for perm in perms]
         for perm, lam in zip(perms, lams):
             if lam.shape != (t, c.bits_per_symbol):
                 raise ValueError(f"layer {perm[i]}: expected {c.bits_per_symbol} priors")
@@ -324,7 +293,7 @@ def detect_one_sided_batch(
     so does the returned batch, each side's candidates in original layer
     order (see :meth:`CandidateBatch.sides`).  ``constellations`` and
     ``priors`` are indexed by original layer; ``priors`` is None or
-    holds, per layer, None or (T, q_n) prior LLRs.
+    holds one (T, q_n) array of prior LLRs per layer.
     """
     l = np.asarray(l, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -392,12 +361,14 @@ def detect_one_sided(
     y: np.ndarray,
     constellations,
     priors=None,
-) -> CandidateList:
+) -> CandidateBatch:
     """Enumerate the detection layer and slice all others in parallel.
 
     ``y`` is the transformed observation W* ytilde; ``constellations``
-    and ``priors`` are indexed by original layer.  The T=1 view of
-    :func:`detect_one_sided_batch`.
+    and ``priors`` (None or one (q_n,) array per layer) are indexed by
+    original layer.  The T=1 view of :func:`detect_one_sided_batch`: a
+    one-trial batch, whose ``len()`` counts its fields; its candidates
+    number ``distances.shape[1]``.
     """
     n = d.n_layers
     if len(constellations) != n:
@@ -406,9 +377,8 @@ def detect_one_sided(
     if y.shape != (n,):
         raise ValueError("observation length does not match decomposition")
     if priors is not None:
-        priors = [None if lam is None else np.asarray(lam, dtype=float)[None] for lam in priors]
-    cand = detect_one_sided_batch(d.l[None], y[None], constellations, [d.perm], priors)
-    return cand.sides()[0].row(0)
+        priors = [np.asarray(lam, dtype=float)[None] for lam in priors]
+    return detect_one_sided_batch(d.l[None], y[None], constellations, [d.perm], priors).sides()[0]
 
 
 def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> CandidateBatch:
@@ -423,10 +393,13 @@ def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> C
     return cand._replace(distances=quad - cand.prior_bias, distance_mode="H")
 
 
-def rescore_candidates(clist: CandidateList, h: np.ndarray, y_tilde: np.ndarray) -> CandidateList:
-    """Replace list distances with the channel-based metric (T=1 view of :func:`rescore_batch`)."""
+def rescore_candidates(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> CandidateBatch:
+    """Rescore a one-trial batch with the channel metric: the T=1 view of :func:`rescore_batch`.
+
+    ``len()`` of a batch counts its fields; its candidates number ``distances.shape[1]``.
+    """
     h = np.asarray(h, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
-    if h.shape[1] != clist.symbols.shape[1] or y_tilde.shape != (h.shape[0],):
+    if h.shape[1] != cand.symbols.shape[2] or y_tilde.shape != (h.shape[0],):
         raise ValueError("channel/observation dimensions do not match the list")
-    return rescore_batch(clist.batch(), h[None], y_tilde[None]).row(0)
+    return rescore_batch(cand, h[None], y_tilde[None])

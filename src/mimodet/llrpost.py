@@ -8,8 +8,8 @@ log-likelihood ratios and is left to the caller.
 
 The work runs on :class:`~mimodet.detcore.CandidateBatch` stacks of T
 trials (``two_sided_batch``, ``combine_batch``); ``llr_two_sided`` and
-``combine_lists`` are their T=1 views.  Bits are looked up through each
-candidate's constellation index.
+``combine_lists`` are their T=1 views, taking one-trial batches.  Bits
+are looked up through each candidate's constellation index.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detcore import CandidateBatch, CandidateList
+from .detcore import CandidateBatch
 from .errors import MinimaMismatchError
 
 __all__ = ["DetectionResult", "llr_two_sided", "combine_lists", "two_sided_batch",
@@ -34,10 +34,11 @@ class DetectionResult:
     llr: tuple[np.ndarray, ...]  # per layer, (q_n,)
     hard_index: np.ndarray  # (N,) indices into each layer's points
 
-    def row(self, t: int) -> "DetectionResult":
-        """Trial t of a batched result."""
-        return DetectionResult(self.hard[t], float(self.dmin[t]), tuple(lam[t] for lam in self.llr),
-                               self.hard_index[t])
+    def row(self, t: int | slice) -> "DetectionResult":
+        """Trial t (an index) or trials t (a slice) of a batched result."""
+        dmin = self.dmin[t]
+        return DetectionResult(self.hard[t], dmin if np.ndim(dmin) else float(dmin),
+                               tuple(lam[t] for lam in self.llr), self.hard_index[t])
 
 
 def partition_minima(distances: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +167,17 @@ def combine_batch(batches, constellations) -> DetectionResult:
     return DetectionResult(hard, dmin, llrs, hard_index)
 
 
-def llr_two_sided(list1: CandidateList, list2: CandidateList, constellations) -> DetectionResult:
-    """T=1 view of :func:`two_sided_batch`, with the minima-consistency check."""
-    return two_sided_batch(list1.batch(), list2.batch(), constellations).row(0)
+def llr_two_sided(cand1: CandidateBatch, cand2: CandidateBatch, constellations) -> DetectionResult:
+    """T=1 view of :func:`two_sided_batch` over one-trial batches, with the minima check.
+
+    ``len()`` of a batch counts its fields; its candidates number ``distances.shape[1]``.
+    """
+    return two_sided_batch(cand1, cand2, constellations).row(0)
 
 
-def combine_lists(lists, constellations) -> DetectionResult:
-    """T=1 view of :func:`combine_batch`."""
-    return combine_batch([cl.batch() for cl in lists], constellations).row(0)
+def combine_lists(batches, constellations) -> DetectionResult:
+    """T=1 view of :func:`combine_batch` over one-trial batches.
+
+    ``len()`` of a batch counts its fields; its candidates number ``distances.shape[1]``.
+    """
+    return combine_batch(batches, constellations).row(0)

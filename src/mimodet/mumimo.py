@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellation import Constellation, make_constellation
-from .decomp import ql_decompose_batch
+from .decomp import SINGULAR_RTOL, ql_decompose_batch
 from .detcore import BATCH_CELLS, CandidateBatch, detect_one_sided_batch
 from .errors import SingularChannelError
 from .llrpost import partition_minima
@@ -48,8 +48,6 @@ __all__ = [
 
 # ascending: an exact tie in score goes to the smaller constellation
 MU_HYPOTHESIS_ORDERS = (4, 16, 64, 256)
-
-_DEGENERATE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,13 +114,13 @@ def _tone_factors(channels, desired: Constellation, scenario0=0, tone0=0) -> _To
     scale = np.maximum(np.linalg.norm(channels, axis=(-2, -1)), np.finfo(float).tiny)
     norms = np.linalg.norm(h, axis=-2)
     norm1, norm2 = norms[..., 0], norms[..., 1]
-    dead = np.argwhere(norm1 <= _DEGENERATE_RTOL * scale)
+    dead = np.argwhere(norm1 <= SINGULAR_RTOL * scale)
     if dead.size:
         s, k = dead[0]
         raise SingularChannelError(
             f"desired-user column vanishes on scenario {scenario0 + s}, tone {tone0 + k}"
         )
-    free = norm2 <= _DEGENERATE_RTOL * scale
+    free = norm2 <= SINGULAR_RTOL * scale
     l = np.zeros_like(h)
     q, l[~free] = ql_decompose_batch(h[~free])
     l[free, 0, 0] = norm1[free]

@@ -22,11 +22,11 @@ def exhaustive_map(m, y, constellations, priors=None) -> DetectionResult:
 
     Minimizes d(x) = ||y - Mx||^2 - b(x)'lam over the symbol grid, where
     M may be a channel matrix or a triangular factor with y transformed
-    accordingly.  Enumeration is lexicographic over layer-major bit
-    patterns, which fixes the argmin on ties.  Also returns every
-    per-bit LLR (min over the +1 partition minus min over the -1
-    partition).  Raises EnumerationBudgetError beyond ``ENUM_BUDGET``
-    hypotheses.
+    accordingly; ``priors`` is None or one (q_n,) array per layer.
+    Enumeration is lexicographic over layer-major bit patterns, which
+    fixes the argmin on ties.  Also returns every per-bit LLR (min over
+    the +1 partition minus min over the -1 partition).  Raises
+    EnumerationBudgetError beyond ``ENUM_BUDGET`` hypotheses.
     """
     m = np.asarray(m, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -42,9 +42,8 @@ def exhaustive_map(m, y, constellations, priors=None) -> DetectionResult:
     bias = np.zeros(total)
     for i, c in enumerate(constellations):
         x[:, i] = c.points[idx[:, i]]
-        if priors is not None and priors[i] is not None:
-            lam = np.asarray(priors[i], dtype=float)
-            bias += (c.point_bits @ lam)[idx[:, i]]
+        if priors is not None:
+            bias += (c.point_bits @ np.asarray(priors[i], dtype=float))[idx[:, i]]
 
     resid = y[None, :] - x @ m.T
     d = np.sum(resid.real * resid.real + resid.imag * resid.imag, axis=1) - bias

@@ -79,6 +79,18 @@ _CSV_COLUMNS = (
 )
 
 
+def _check_detector(detector, distance_mode, n_layers):
+    """Reject a detector and distance mode that cannot run on n_layers layers."""
+    if detector not in _DETECTORS:
+        raise ConfigError(f"unknown detector {detector!r}")
+    if detector == "map2" and n_layers != 2:
+        raise ConfigError("detector=map2 requires 2 layers")
+    if distance_mode not in ("L", "H"):
+        raise ConfigError("distance_mode must be L or H")
+    if distance_mode == "H" and detector != "wld":
+        raise ConfigError("distance_mode=H applies to detector=wld only")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n_layers: int
@@ -113,14 +125,7 @@ class SimConfig:
             raise ConfigError("SNR grid too long")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.detector not in _DETECTORS:
-            raise ConfigError(f"unknown detector {self.detector!r}")
-        if self.detector == "map2" and self.n_layers != 2:
-            raise ConfigError("detector=map2 requires 2 layers")
-        if self.distance_mode not in ("L", "H"):
-            raise ConfigError("distance_mode must be L or H")
-        if self.distance_mode == "H" and self.detector != "wld":
-            raise ConfigError("distance_mode=H applies to detector=wld only")
+        _check_detector(self.detector, self.distance_mode, self.n_layers)
         if self.priors_mode not in ("zero", "random"):
             raise ConfigError("priors_mode must be zero or random")
         if self.priors_mode == "random" and not 0 < self.priors_sigma < np.inf:
@@ -162,10 +167,10 @@ class FidelityPoint:
     llr_max: float
 
 
-def generate_channel(rng: np.random.Generator, n: int) -> np.ndarray:
-    """i.i.d. CN(0,1) n x n channel matrix, real part drawn before imaginary."""
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
+def generate_channel(rng: np.random.Generator, shape) -> np.ndarray:
+    """i.i.d. CN(0,1) channel entries of any shape, every real part drawn before the imaginary."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
     return (re + 1j * im) * np.sqrt(0.5)
 
 
@@ -201,7 +206,7 @@ def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, q
         return quantize(v, quant) if quant is not None else v
 
     if priors is not None:
-        priors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
+        priors = [q(np.asarray(lam, dtype=float)) for lam in priors]
     if rescore:
         h_q, y_q = q(h_eff), q(y_tilde)
     n = len(constellations)
@@ -221,10 +226,6 @@ def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, q
     return batches
 
 
-def _trial_priors(priors, t):
-    return None if priors is None else [None if lam is None else lam[t] for lam in priors]
-
-
 def detect_batch(
     h_eff: np.ndarray,
     y_tilde: np.ndarray,
@@ -237,16 +238,19 @@ def detect_batch(
     """Run one detector on T stacked channel instances.
 
     ``h_eff`` (T, N, N) already carries the unit-energy scaling,
-    ``y_tilde`` is (T, N), ``priors`` None or per layer None or (T, q_n).
-    Quantization, if requested, applies to the detector inputs and the
-    candidate distances (see :func:`_candidate_batches`); the oracle
-    detector ignores it and runs trial by trial.  Returns the fields of
-    :class:`DetectionResult` with a leading trial axis.
+    ``y_tilde`` is (T, N), ``priors`` None or one (T, q_n) array per
+    layer; a detector and distance mode that :meth:`SimConfig.validate`
+    rejects raise ConfigError.  Quantization, if requested, applies to the
+    detector inputs and the candidate distances (see :func:`_candidate_batches`);
+    the oracle detector ignores it and runs trial by trial.  Returns the
+    fields of :class:`DetectionResult` with a leading trial axis.
     """
+    _check_detector(detector, distance_mode, len(constellations))
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
     if detector == "oracle":
-        res = [exhaustive_map(h_eff[t], y_tilde[t], constellations, _trial_priors(priors, t))
+        res = [exhaustive_map(h_eff[t], y_tilde[t], constellations,
+                              None if priors is None else [lam[t] for lam in priors])
                for t in range(len(h_eff))]
         return DetectionResult(
             np.stack([r.hard for r in res]), np.array([r.dmin for r in res]),
@@ -277,7 +281,7 @@ def detect_instance(
 ) -> DetectionResult:
     """Run one detector on one channel instance: the T=1 view of :func:`detect_batch`."""
     if priors is not None:
-        priors = [None if lam is None else np.asarray(lam, dtype=float)[None] for lam in priors]
+        priors = [np.asarray(lam, dtype=float)[None] for lam in priors]
     return detect_batch(
         np.asarray(h_eff, dtype=complex)[None], np.asarray(y_tilde, dtype=complex)[None],
         constellations, priors, detector, distance_mode, quant,
@@ -315,19 +319,20 @@ def _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
     h = np.empty((hi - lo, n, n), dtype=complex)
     tx = np.empty((hi - lo, n), dtype=np.int64)
     noise = np.empty((hi - lo, 2, n))
-    lam = np.empty((hi - lo, sum(q))) if cfg.priors_mode == "random" else None
+    draw_priors = cfg.priors_mode == "random"
+    lam = np.empty((hi - lo, sum(q)))
     streams = trial_streams(cfg.master_seed, snr_idx, range(lo, hi), CONTEXT_SWEEP)
     for j, rng in enumerate(streams):
-        h[j] = generate_channel(rng, n)
+        h[j] = generate_channel(rng, (n, n))
         tx[j] = rng.integers(orders)
         noise[j] = rng.standard_normal((2, n))
-        if lam is not None:
+        if draw_priors:
             lam[j] = rng.normal(0.0, cfg.priors_sigma, lam.shape[1])
     h_eff = h * scales[None, None, :]
     x = np.stack([c.points[tx[:, i]] for i, c in enumerate(cons)], axis=1)
     sigma2 = _sigma2(snr_db, n)
     y = (h_eff @ x[:, :, None])[:, :, 0] + np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
-    priors = None if lam is None else np.split(lam, np.cumsum(q)[:-1], axis=1)
+    priors = np.split(lam, np.cumsum(q)[:-1], axis=1) if draw_priors else None
     return h_eff, tx, y, priors
 
 
@@ -351,21 +356,11 @@ def _sweep_batches(cfg):
     return batches
 
 
-def _result_rows(res, rows):
-    """Rows ``rows`` (a slice) of a batched DetectionResult."""
-    return dataclasses.replace(
-        res, hard=res.hard[rows], dmin=res.dmin[rows], llr=tuple(lam[rows] for lam in res.llr),
-        hard_index=res.hard_index[rows],
-    )
+def _sweep_totals(cfg, cons, measure):
+    """Draw, detect and reduce every chunk of a sweep; return each SNR point's totals.
 
-
-def _sweep_partials(cfg, cons, reduce_chunk):
-    """Draw, detect and reduce every chunk of a sweep; return each SNR point's partials.
-
-    ``reduce_chunk(snr_idx, lo, h, tx, y, priors, res)`` maps one chunk's
-    draws and its rows of the detection result to a partial; the partials
-    of each SNR point come back in trial order.  Threads map over
-    detection calls.
+    A point's totals sum its chunks' partials (:func:`_sweep_chunk`) in
+    trial order and keep their largest LLR deviation; threads map over detection calls.
     """
     scales = np.array([c.unit_energy_scale for c in cons])
 
@@ -380,57 +375,60 @@ def _sweep_partials(cfg, cons, reduce_chunk):
         )
         out, row = [], 0
         for (s, lo, hi), chunk in zip(batch, draws):
-            out.append(reduce_chunk(s, lo, *chunk, _result_rows(res, slice(row, row + hi - lo))))
+            rows = res.row(slice(row, row + hi - lo))
+            out.append(_sweep_chunk(cfg, cons, s, lo, *chunk, rows, measure))
             row += hi - lo
         return out
 
     batches = _sweep_batches(cfg)
-    parts = [[] for _ in cfg.snr_db]
+    totals = [np.zeros(5) for _ in cfg.snr_db]
+    dev_max = [0.0] * len(cfg.snr_db)
     for batch, out in zip(batches, _reduce_chunks(run_batch, batches, cfg.threads)):
-        for (s, _, _), part in zip(batch, out):
-            parts[s].append(part)
-    return parts
+        for (s, _, _), (acc, dmax) in zip(batch, out):
+            totals[s] += acc
+            dev_max[s] = max(dev_max[s], dmax)
+    return list(zip(totals, dev_max))
 
 
-def _oracle_deviations(res, h, y, cons, priors):
-    """Per trial of a detected chunk: (row, detector result, oracle result, |LLR deviation|)."""
-    for j in range(len(h)):
-        det = res.row(j)
-        ora = exhaustive_map(h[j], y[j], cons, _trial_priors(priors, j))
-        yield j, det, ora, np.abs(np.concatenate(det.llr) - np.concatenate(ora.llr))
-
-
-def _sweep_chunk(cfg, cons, snr_idx, lo, h, tx, y, priors, res):
-    """Reduce one detected chunk to its (vector, symbol, bit errors, LLR deviation
-    sum, LLR count) partials and LLR deviation maximum."""
-    snr_db = cfg.snr_db[snr_idx]
-    devs = []
-    checked = _oracle_deviations(res, h, y, cons, priors) if cfg.shadow_oracle else ()
-    for j, det, ora, dev in checked:
-        key = {"snr_db": snr_db, "snr_idx": snr_idx, "trial": lo + j,
-               "seed": cfg.master_seed}
-        if cfg.detector == "map2":
-            tol = _SHADOW_RTOL * np.maximum(1.0, np.abs(np.concatenate(ora.llr)))
-            if np.any(dev > tol) or not np.array_equal(det.hard, ora.hard):
-                raise ShadowOracleMismatch(
-                    "detector disagrees with exhaustive oracle",
-                    record={**key, "detector": cfg.detector, "max_dev": float(dev.max())},
-                )
-            devs.append(dev)
+def _shadow_check(cfg, snr_idx, lo, res, ora, dev):
+    """Raise ShadowOracleMismatch naming the first trial of a chunk that fails the check."""
+    if cfg.detector == "map2":
+        tol = _SHADOW_RTOL * np.maximum(1.0, np.abs(np.concatenate(ora.llr, axis=1)))
+        bad = np.any(dev > tol, axis=1) | np.any(res.hard != ora.hard, axis=1)
+    else:
         # candidate lists can only over-estimate the exact minimum
-        elif det.dmin < ora.dmin - _SHADOW_RTOL * max(1.0, abs(ora.dmin)):
-            raise ShadowOracleMismatch(
-                "candidate-list minimum beats the exhaustive minimum", record=key,
-            )
+        bad = res.dmin < ora.dmin - _SHADOW_RTOL * np.maximum(1.0, np.abs(ora.dmin))
+    if bad.any():
+        j = int(np.argmax(bad))
+        key = {"snr_db": cfg.snr_db[snr_idx], "snr_idx": snr_idx, "trial": lo + j,
+               "seed": cfg.master_seed}
+        if cfg.detector != "map2":
+            raise ShadowOracleMismatch("candidate-list minimum beats the exhaustive minimum",
+                                       record=key)
+        raise ShadowOracleMismatch("detector disagrees with exhaustive oracle", record={
+            **key, "detector": cfg.detector, "max_dev": float(dev[j].max())})
 
+
+def _sweep_chunk(cfg, cons, snr_idx, lo, h, tx, y, priors, res, measure):
+    """Reduce one detected chunk to its (vector, symbol, bit errors, LLR deviation
+    sum, LLR count) partials and LLR deviation maximum; the exhaustive oracle
+    runs on the chunk for the shadow check and when ``measure`` asks for them."""
     sym_err = res.hard_index != tx
     bit_err = sum(
         int(np.sum(c.point_bits[res.hard_index[:, i]] != c.point_bits[tx[:, i]]))
         for i, c in enumerate(cons)
     )
-    acc = np.array([np.sum(np.any(sym_err, axis=1)), np.sum(sym_err), bit_err,
-                    sum(float(d.sum()) for d in devs), sum(len(d) for d in devs)], dtype=float)
-    return acc, max((float(d.max()) for d in devs), default=0.0)
+    acc = np.array([np.sum(np.any(sym_err, axis=1)), np.sum(sym_err), bit_err, 0, 0], dtype=float)
+    if cfg.shadow_oracle or measure:
+        ora = detect_batch(h, y, cons, priors, detector="oracle")
+        dev = np.abs(np.concatenate(res.llr, axis=1) - np.concatenate(ora.llr, axis=1))
+        if cfg.shadow_oracle:
+            _shadow_check(cfg, snr_idx, lo, res, ora, dev)
+        if measure:
+            # per-trial sums added in trial order fix the float sum order
+            acc[3:] = sum(dev.sum(axis=1).tolist()), dev.size
+            return acc, float(dev.max())
+    return acc, 0.0
 
 
 def run_sweep(cfg: SimConfig) -> list[TrialStats]:
@@ -438,17 +436,9 @@ def run_sweep(cfg: SimConfig) -> list[TrialStats]:
     cfg.validate()
     cons = tuple(make_constellation(q) for q in cfg.mods)
     q_total = sum(c.bits_per_symbol for c in cons)
-
-    def reduce_chunk(*chunk):
-        return _sweep_chunk(cfg, cons, *chunk)
-
+    measure = cfg.shadow_oracle and cfg.detector == "map2"
     stats = []
-    for snr_db, parts in zip(cfg.snr_db, _sweep_partials(cfg, cons, reduce_chunk)):
-        total = np.zeros(5)
-        dev_max = 0.0
-        for acc, dmax in parts:
-            total += acc
-            dev_max = max(dev_max, dmax)
+    for snr_db, (total, dev_max) in zip(cfg.snr_db, _sweep_totals(cfg, cons, measure)):
         vec, sym, bit, dev_sum, dev_cnt = total
         stats.append(
             TrialStats(
@@ -473,7 +463,8 @@ def llr_fidelity(cfg: SimConfig) -> list[FidelityPoint]:
 
     Quantization (if configured) applies to the detector path only, so
     this measures the quantization-induced LLR degradation; without it
-    the map2 detector must sit at numerical-noise level.
+    the map2 detector must sit at numerical-noise level.  It runs the
+    sweep's chunk reduction with every trial measured and no shadow check.
     """
     probe = dataclasses.replace(cfg, shadow_oracle=False, quant=None)
     probe.validate()
@@ -482,19 +473,9 @@ def llr_fidelity(cfg: SimConfig) -> list[FidelityPoint]:
     if cfg.detector == "oracle":
         raise ConfigError("llr_fidelity needs a non-oracle detector")
     cons = tuple(make_constellation(q) for q in cfg.mods)
-
-    def reduce_chunk(snr_idx, lo, h, tx, y, priors, res):
-        devs = [dev for *_, dev in _oracle_deviations(res, h, y, cons, priors)]
-        return (sum(float(d.sum()) for d in devs), max(float(d.max()) for d in devs),
-                sum(len(d) for d in devs))
-
-    points = []
-    for snr_db, parts in zip(cfg.snr_db, _sweep_partials(cfg, cons, reduce_chunk)):
-        dev_sum = sum(p[0] for p in parts)
-        dev_max = max(p[1] for p in parts)
-        count = sum(p[2] for p in parts)
-        points.append(FidelityPoint(snr_db, cfg.trials, dev_sum / count, dev_max))
-    return points
+    totals = _sweep_totals(dataclasses.replace(cfg, shadow_oracle=False), cons, measure=True)
+    return [FidelityPoint(snr_db, cfg.trials, float(total[3] / total[4]), dev_max)
+            for snr_db, (total, dev_max) in zip(cfg.snr_db, totals)]
 
 
 def _fmt(x: float) -> str:
@@ -527,9 +508,7 @@ def draw_uncoded_chunk(master_seed, snr_idx, chunk_idx, snr_db, constellations, 
     rng = trial_rng(master_seed, snr_idx, chunk_idx, CONTEXT_BATCH)
     n = len(constellations)
     scales = np.array([c.unit_energy_scale for c in constellations])
-    re = rng.standard_normal((n_trials, n, n))
-    im = rng.standard_normal((n_trials, n, n))
-    h_eff = (re + 1j * im) * np.sqrt(0.5) * scales[None, None, :]
+    h_eff = generate_channel(rng, (n_trials, n, n)) * scales[None, None, :]
     x = np.empty((n_trials, n), dtype=complex)
     for i, c in enumerate(constellations):
         x[:, i] = c.points[rng.integers(c.order, size=n_trials)]
@@ -660,6 +639,15 @@ def _check_run(snr_name, snr_db, **counts):
             raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
+def _check_mu_run(snr_db_grid, n_tones, interferer_order, scenarios, threads,
+                  names=("snr_db_grid", "n_tones", "interferer_order", "scenarios", "threads")):
+    """Reject bad arguments of :func:`mu_classification_rates`, named by ``names`` in order."""
+    snr, tones, order, count, workers = names
+    _check_run(snr, snr_db_grid, **{tones: n_tones, count: scenarios, workers: threads})
+    if interferer_order not in MU_HYPOTHESIS_ORDERS:
+        raise ValueError(f"{order} must be one of {MU_HYPOTHESIS_ORDERS}, got {interferer_order!r}")
+
+
 def uncoded_ver_point(
     master_seed: int,
     snr_idx: int,
@@ -706,9 +694,7 @@ def _draw_mu_chunk(master_seed, bounds, n_tones, des, intf):
     signal = np.empty((hi - lo, n_tones, 2), dtype=complex)
     base = np.empty_like(signal)
     for j, rng in enumerate(trial_streams(master_seed, 0, range(lo, hi), CONTEXT_MUMIMO)):
-        re = rng.standard_normal((n_tones, 2, 2))
-        im = rng.standard_normal((n_tones, 2, 2))
-        h[j] = (re + 1j * im) * np.sqrt(0.5)
+        h[j] = generate_channel(rng, (n_tones, 2, 2))
         x1 = des.points[rng.integers(des.order, size=n_tones)] * des.unit_energy_scale
         x2 = intf.points[rng.integers(intf.order, size=n_tones)] * intf.unit_energy_scale
         base[j] = np.sqrt(0.5) * (
@@ -736,10 +722,10 @@ def mu_classification_rates(
     its channels are factored once, and each hypothesis detects all of
     the chunk's tones in a few batched calls.
     """
-    _check_run("snr_db_grid", snr_db_grid, n_tones=n_tones, scenarios=scenarios, threads=threads)
+    _check_mu_run(snr_db_grid, n_tones, interferer_order, scenarios, threads)
     des = make_constellation(desired_order)
     intf = make_constellation(interferer_order)
-    sigma2 = np.array([2.0 / 10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])
+    sigma2 = np.array([_sigma2(snr_db, 2) for snr_db in snr_db_grid])
     truth = np.array(MU_HYPOTHESIS_ORDERS) == interferer_order
 
     def run_chunk(bounds):

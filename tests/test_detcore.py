@@ -253,9 +253,9 @@ def test_detect_bpsk_hand_case():
     cons = (make_constellation(2), make_constellation(2))
     d = eye_decomp(np.array([[1, 0], [1, 1]]))
     cl = detect_one_sided(d, np.array([1, 2], dtype=complex), cons)
-    assert cl.distances.tolist() == [0.0, 8.0]
-    assert cl.symbols[:, 0].tolist() == [1, -1]
-    assert cl.symbols[:, 1].tolist() == [1, 1]
+    assert cl.distances[0].tolist() == [0.0, 8.0]
+    assert cl.symbols[0, :, 0].tolist() == [1, -1]
+    assert cl.symbols[0, :, 1].tolist() == [1, 1]
 
 
 def test_detect_zero_noise_transmitted_attains_minimum():
@@ -268,10 +268,10 @@ def test_detect_zero_noise_transmitted_attains_minimum():
             d = punctured_decompose(h, m)
             y = transform_observation(d, h @ x)
             cl = detect_one_sided(d, y, cons)
-            i = np.flatnonzero(cl.symbols[:, m] == x[m])[0]
-            assert np.allclose(cl.symbols[i], x)
-            assert abs(cl.distances[i]) <= 1e-9 * max(1.0, np.sum(np.abs(y) ** 2))
-            assert cl.distances.min() >= cl.distances[i] - 1e-9
+            i = np.flatnonzero(cl.symbols[0, :, m] == x[m])[0]
+            assert np.allclose(cl.symbols[0, i], x)
+            assert abs(cl.distances[0, i]) <= 1e-9 * max(1.0, np.sum(np.abs(y) ** 2))
+            assert cl.distances.min() >= cl.distances[0, i] - 1e-9
 
 
 def test_detect_matches_per_entry_bruteforce_with_priors():
@@ -288,14 +288,14 @@ def test_detect_matches_per_entry_bruteforce_with_priors():
         bias1 = cons[0].point_bits @ priors[0]
         bias2 = cons[1].point_bits @ priors[1]
         for i in (0, 17, 40, 63):
-            x1 = cl.symbols[i, 0]
+            x1 = cl.symbols[0, i, 0]
             vals = (
                 np.abs(y[0] - d.l[0, 0] * x1) ** 2
                 - bias1[i]
                 + np.abs(y[1] - d.l[1, 0] * x1 - d.l[1, 1] * cons[1].points) ** 2
                 - bias2
             )
-            assert cl.distances[i] == pytest.approx(vals.min(), rel=1e-9)
+            assert cl.distances[0, i] == pytest.approx(vals.min(), rel=1e-9)
 
 
 def test_detect_mode_equivalence_bit_exact():
@@ -310,22 +310,22 @@ def test_detect_mode_equivalence_bit_exact():
         y = transform_observation(d, yt)
         cl = detect_one_sided(d, y, cons, priors)
         k = _constants(d.l[None], y[None])
-        x1 = cl.symbols[:, d.layer]
+        x1 = cl.symbols[0, :, d.layer]
         for i in range(1, 3):
             layer = d.perm[i]
             c = cons[layer]
             lam_re, lam_im = split_prior(c, priors[layer])
             u_re = k.cross_re[0, i - 1] * x1.real + k.cross_im[0, i - 1] * x1.imag
             u_im = k.cross_re[0, i - 1] * x1.imag - k.cross_im[0, i - 1] * x1.real
-            for q in range(len(cl)):
+            for q in range(cl.distances.shape[1]):
                 want_re = exhaustive_axis_argmin(
                     c.real_axis, k.slice_quad[0, i - 1], k.slice_lin_re[0, i - 1], u_re[q], lam_re
                 )
                 want_im = exhaustive_axis_argmin(
                     c.imag_axis, k.slice_quad[0, i - 1], k.slice_lin_im[0, i - 1], u_im[q], lam_im
                 )
-                assert cl.symbols[q, layer] == complex(want_re, want_im)
-                assert cl.index[q, layer] == c.point_indices(cl.symbols[q, layer])
+                assert cl.symbols[0, q, layer] == complex(want_re, want_im)
+                assert cl.index[0, q, layer] == c.point_indices(cl.symbols[0, q, layer])
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,9 +355,9 @@ def test_detect_relative_form_bookkeeping():
     y = transform_observation(d, yt)
     cl = detect_one_sided(d, y, cons)
     direct = np.array([
-        np.sum(np.abs(y - d.l @ cl.symbols[i]) ** 2) for i in range(len(cl))
+        np.sum(np.abs(y - d.l @ x) ** 2) for x in cl.symbols[0]
     ])
-    assert np.allclose(cl.distances, direct, rtol=1e-9)
+    assert np.allclose(cl.distances[0], direct, rtol=1e-9)
 
 
 def test_detect_input_validation():
@@ -384,8 +384,8 @@ def test_batch_kernel_bit_exact_vs_scalar():
     for t in range(20):
         d = PuncturedDecomposition(w=np.eye(4, dtype=complex), l=l[t], layer=1, perm=(1, 2, 3, 0))
         cl = detect_one_sided(d, y[t], cons)
-        assert np.array_equal(cl.symbols, sym[t])
-        assert np.array_equal(cl.distances, dist[t])
+        assert np.array_equal(cl.symbols[0], sym[t])
+        assert np.array_equal(cl.distances[0], dist[t])
 
 
 def test_stacked_sides_need_the_same_constellations_in_order():
@@ -439,8 +439,8 @@ def test_rescore_zero_noise_hits_zero():
     d = punctured_decompose(h, 0)
     cl = detect_one_sided(d, transform_observation(d, yt), cons)
     rs = rescore_candidates(cl, h, yt)
-    i = np.flatnonzero(cl.symbols[:, 0] == x[0])[0]
-    assert abs(rs.distances[i]) <= 1e-9 * np.sum(np.abs(yt) ** 2)
+    i = np.flatnonzero(cl.symbols[0, :, 0] == x[0])[0]
+    assert abs(rs.distances[0, i]) <= 1e-9 * np.sum(np.abs(yt) ** 2)
 
 
 def test_rescore_matches_direct_channel_metric():
@@ -453,9 +453,9 @@ def test_rescore_matches_direct_channel_metric():
     cl = detect_one_sided(d, transform_observation(d, yt), cons, priors)
     rs = rescore_candidates(cl, h, yt)
     for i in (0, 5, 11, 15):
-        x = cl.symbols[i]
+        x = cl.symbols[0, i]
         bias = sum(
             float(c.bits_of_points(x[j]) @ priors[j]) for j, c in enumerate(cons)
         )
         ref = np.sum(np.abs(yt - h @ x) ** 2) - bias
-        assert rs.distances[i] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert rs.distances[0, i] == pytest.approx(ref, rel=1e-9, abs=1e-9)

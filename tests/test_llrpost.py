@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mimodet import (
-    CandidateList,
     MinimaMismatchError,
     combine_lists,
     detect_one_sided,
@@ -13,6 +12,7 @@ from mimodet import (
     rescore_candidates,
     transform_observation,
 )
+from mimodet.detcore import CandidateBatch
 from mimodet.llrpost import _own_layer_minima, best_candidates, partition_minima
 
 
@@ -29,18 +29,18 @@ def two_sided_lists(h, yt, cons, priors=None):
 
 
 def manual_list(symbols, distances, layer=0):
-    """A hand-built list of BPSK symbol vectors."""
+    """A hand-built one-trial batch of BPSK symbol vectors."""
     symbols = np.asarray(symbols, dtype=complex)
-    return CandidateList(
-        layer=layer, symbols=symbols, distances=np.asarray(distances, dtype=float),
-        prior_bias=np.zeros(len(distances)), distance_mode="L",
-        index=make_constellation(2).point_indices(symbols),
+    return CandidateBatch(
+        layer=layer, symbols=symbols[None], distances=np.asarray(distances, dtype=float)[None],
+        prior_bias=np.zeros((1, len(distances))), distance_mode="L",
+        index=make_constellation(2).point_indices(symbols)[None],
     )
 
 
 def best_entry(*lists):
     """(symbols, distance, indices) of the best entry over the lists, for one trial."""
-    x, d, idx = best_candidates([cl.batch() for cl in lists])
+    x, d, idx = best_candidates(lists)
     return x[0], d[0], idx[0]
 
 
@@ -167,8 +167,8 @@ def test_combine_wl_minimal_against_union_reimplementation():
             lists.append(rescore_candidates(cl, h, yt))
         res = combine_lists(lists, cons)
         # independent reimplementation: materialize the union and partition
-        all_sym = np.concatenate([cl.symbols for cl in lists])
-        all_d = np.concatenate([cl.distances for cl in lists])
+        all_sym = np.concatenate([cl.symbols[0] for cl in lists])
+        all_d = np.concatenate([cl.distances[0] for cl in lists])
         k = np.argmin(all_d)
         assert res.dmin == all_d[k]
         assert np.array_equal(res.hard, all_sym[k])
@@ -192,7 +192,7 @@ def test_combine_monotonicity_and_realized_differences():
         lists.append(rescore_candidates(cl, h, yt))
     res = combine_lists(lists, cons)
     assert all(res.dmin <= cl.distances.min() + 1e-12 for cl in lists)
-    realized = np.concatenate([cl.distances for cl in lists])
+    realized = np.concatenate([cl.distances[0] for cl in lists])
     for lam_n in res.llr:
         for v in lam_n:
             diffs = np.abs(realized[None, :] - realized[:, None] - v)
@@ -248,9 +248,9 @@ def test_llr_of_a_reordered_own_layer_list():
     lists = two_sided_lists(h, crandn(rng, 2), cons)
     order = rng.permutation(16)
     cl = lists[0]
-    shuffled = CandidateList(
-        layer=cl.layer, symbols=cl.symbols[order], distances=cl.distances[order],
-        prior_bias=cl.prior_bias[order], distance_mode=cl.distance_mode, index=cl.index[order],
+    shuffled = cl._replace(
+        symbols=cl.symbols[:, order], distances=cl.distances[:, order],
+        prior_bias=cl.prior_bias[:, order], index=cl.index[:, order],
     )
     want = llr_two_sided(cl, lists[1], cons)
     got = llr_two_sided(shuffled, lists[1], cons)

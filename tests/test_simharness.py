@@ -69,12 +69,12 @@ def test_trial_rng_reproducible_and_distinct():
 
 
 def test_generate_channel_determinism_and_stats():
-    h1 = generate_channel(trial_rng(1, 0, 0), 4)
-    h2 = generate_channel(trial_rng(1, 0, 0), 4)
+    h1 = generate_channel(trial_rng(1, 0, 0), (4, 4))
+    h2 = generate_channel(trial_rng(1, 0, 0), (4, 4))
     assert np.array_equal(h1, h2)
-    h3 = generate_channel(trial_rng(1, 0, 1), 4)
+    h3 = generate_channel(trial_rng(1, 0, 1), (4, 4))
     assert not np.array_equal(h1, h3)
-    draws = generate_channel(trial_rng(2, 0, 0), 300)
+    draws = generate_channel(trial_rng(2, 0, 0), (300, 300))
     var = np.mean(np.abs(draws) ** 2)
     assert abs(var - 1.0) < 0.02
 
@@ -324,6 +324,7 @@ _MU_ARGS = dict(master_seed=0, n_tones=4, desired_order=16, interferer_order=16,
     (mu_classification_rates, _MU_ARGS, dict(snr_db_grid=()), "snr_db_grid"),
     (mu_classification_rates, _MU_ARGS, dict(snr_db_grid=(10.0, float("inf"))), "snr_db_grid"),
     (mu_classification_rates, _MU_ARGS, dict(threads=0), "threads"),
+    (mu_classification_rates, _MU_ARGS, dict(interferer_order=2), "interferer_order"),
 ])
 def test_batch_experiments_reject_bad_input_naming_the_parameter(call, args, bad, name):
     with pytest.raises(ValueError, match=rf"^{name} must"):
@@ -441,6 +442,17 @@ def test_cli_exit_code_on_config_error(capsys):
         assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    # mumimo names the flag that was given, not the library parameter behind it
+    for argv, flag in [
+        (["mumimo", "--k", "0", "--trials", "2", "--interferer", "4"], "--k"),
+        (["mumimo", "--k", "2", "--trials", "0", "--interferer", "4"], "--trials"),
+        (["mumimo", "--k", "2", "--trials", "2", "--interferer", "4", "--threads", "0"],
+         "--threads"),
+        (["mumimo", "--k", "2", "--trials", "2", "--interferer", "4,2"], "--interferer"),
+    ]:
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must") and len(err.strip().splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -529,7 +541,7 @@ def test_cli_exit_code_on_shadow_mismatch(monkeypatch, capsys):
 def test_cli_exit_code_on_degenerate_channel(monkeypatch, capsys):
     import mimodet.simharness as sh
 
-    monkeypatch.setattr(sh, "generate_channel", lambda rng, n: np.ones((n, n), dtype=complex))
+    monkeypatch.setattr(sh, "generate_channel", lambda rng, shape: np.ones(shape, dtype=complex))
     code = cli_main([
         "--layers", "2", "--mods", "4,4", "--snr", "10", "--trials", "5", "--detector", "map2",
     ])
@@ -575,7 +587,7 @@ def _trial_rng_draws(cfg, cons, scales, snr_idx, snr_db, bounds):
     hs, txs, ys, lams = [], [], [], []
     for trial in range(*bounds):
         rng = trial_rng(cfg.master_seed, snr_idx, trial, CONTEXT_SWEEP)
-        h = generate_channel(rng, n) * scales[None, :]
+        h = generate_channel(rng, (n, n)) * scales[None, :]
         idx = [int(rng.integers(c.order)) for c in cons]
         x = np.array([c.points[i] for c, i in zip(cons, idx)])
         noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -645,7 +657,7 @@ def _per_side_batches(h, y, cons, priors, sides, rescore, quant):
         return quantize(v, quant) if quant is not None else v
 
     if priors is not None:
-        priors = [None if lam is None else q(np.asarray(lam, dtype=float)) for lam in priors]
+        priors = [q(np.asarray(lam, dtype=float)) for lam in priors]
     n = len(cons)
     out = []
     for m in range(sides):
@@ -683,7 +695,6 @@ def _same_bytes(a, b):
     ((256, 256), 4, "map2", "L", "all", None, [[0, 1]]),
     ((16,) * 4, 24, "wld", "H", None, None, [[0, 1, 2, 3]]),
     ((16,) * 4, 100, "wld", "H", None, None, [[0, 1], [2, 3]]),  # split by the cap
-    ((4, 16, 4, 16), 30, "wld", "H", "layer 1 None", None, [[0, 2], [1, 3]]),
     ((4, 16, 64), 20, "wld", "H", None, None, [[0], [1], [2]]),
     ((16, 4, 16, 4), 12, "wld", "L", "all", FixedPointFormat(5, 6), [[0, 2], [1, 3]]),
 ])
@@ -698,8 +709,6 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
     lam = None
     if priors is not None:
         lam = [rng.normal(0.0, 1.5, (t, c.bits_per_symbol)) for c in cons]
-        if priors == "layer 1 None":
-            lam[1] = None
     sides = 2 if detector == "map2" else n
     rescore = mode == "H"
     assert sh._side_calls(cons, sides, t) == calls
@@ -716,6 +725,85 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
     own = [[b] for b in want] if detector == "map2" else [want] * n
     for i, llr in enumerate(res.llr):
         assert _same_bytes(llr, _per_list_llrs(own[i], cons)[i]), i
+
+
+def test_a_none_prior_entry_is_rejected():
+    # priors are None or one array per layer; a None entry is not a zero prior
+    import mimodet.simharness as sh
+
+    rng = np.random.default_rng(3)
+    cons = tuple(make_constellation(q) for q in (4, 16, 4, 16))
+    h = crandn(rng, 5, 4, 4)
+    y = crandn(rng, 5, 4)
+    lam = [rng.normal(0.0, 1.5, (5, c.bits_per_symbol)) for c in cons]
+    lam[1] = None
+    with pytest.raises(ValueError, match="layer 1"):
+        sh._candidate_batches(h, y, cons, lam, 4, True, None)
+    with pytest.raises(ValueError, match="layer 1"):
+        detect_batch(h, y, cons, lam, "wld", "H")
+    one = [None if p is None else p[0] for p in lam]
+    for detector, mode in (("wld", "H"), ("oracle", "L")):
+        with pytest.raises(ValueError):
+            detect_instance(h[0], y[0], cons, one, detector, mode)
+    with pytest.raises(ValueError):
+        exhaustive_map(h[0], y[0], cons, one)
+    d = punctured_decompose(h[0], 0)
+    with pytest.raises(ValueError, match="layer 1"):
+        detect_one_sided(d, transform_observation(d, y[0]), cons, one)
+
+
+@pytest.mark.parametrize("detector,distance_mode,n", [
+    ("zf", "L", 2),
+    ("map2", "L", 3),
+    ("map2", "Q", 2),
+    ("map2", "H", 2),
+    ("oracle", "H", 2),
+])
+def test_detect_batch_rejects_what_the_config_rejects(detector, distance_mode, n):
+    kwargs = dict(detector=detector, distance_mode=distance_mode)
+    cfg = SimConfig(n_layers=n, mods=(4,) * n, snr_db=(10.0,), trials=1, **kwargs)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    cons = (make_constellation(4),) * n
+    h = np.tile(np.eye(n, dtype=complex), (2, 1, 1))
+    y = np.ones((2, n), dtype=complex)
+    with pytest.raises(ConfigError):
+        detect_batch(h, y, cons, **kwargs)
+    with pytest.raises(ConfigError):
+        detect_instance(h[0], y[0], cons, **kwargs)
+
+
+@pytest.mark.parametrize("detector,distance_mode", [("map2", "L"), ("wld", "H")])
+def test_shadow_record_names_a_later_trial_of_the_chunk(detector, distance_mode, monkeypatch):
+    import itertools
+
+    import mimodet.simharness as sh
+
+    real = sh.exhaustive_map
+    calls = itertools.count()
+
+    def oracle_off_on_call_3(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if next(calls) != 3:
+            return res
+        if detector == "map2":
+            return dataclasses.replace(res, llr=tuple(lam + 1.0 for lam in res.llr))
+        return dataclasses.replace(res, dmin=res.dmin + 10.0)
+
+    monkeypatch.setattr(sh, "exhaustive_map", oracle_off_on_call_3)
+    cfg = SimConfig(
+        n_layers=2, mods=(4, 4), snr_db=(10.0,), trials=6, detector=detector,
+        distance_mode=distance_mode, master_seed=4, shadow_oracle=True,
+    )
+    with pytest.raises(ShadowOracleMismatch) as info:
+        run_sweep(cfg)
+    record = info.value.record
+    assert (record["seed"], record["snr_idx"], record["trial"]) == (4, 0, 3)
+    if detector == "map2":
+        assert record["detector"] == "map2"
+        assert record["max_dev"] == pytest.approx(1.0, abs=1e-9)
+    else:
+        assert set(record) == {"snr_db", "snr_idx", "trial", "seed"}
 
 
 def test_snr_grid_length_is_checked_before_the_grid_is_built(capsys):
