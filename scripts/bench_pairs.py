@@ -14,7 +14,10 @@ and quartiles of each side and how many pairs each side won (the
 metric's better direction comes from REV_A's ``BENCHMARK.json``), and
 one line per metric saying whether the gain rule holds: REV_B wins at
 least nine tenths of the pairs and its median is better than REV_A's
-by more than REV_A's interquartile range.  Runs that report
+by more than REV_A's interquartile range.  A metric that carries a
+``bound`` in REV_A's ``BENCHMARK.json`` gets one more line, saying
+whether REV_B's median is worse than REV_A's by more than that bound
+(a fraction of REV_A's median), the rule that refuses a change.  Runs that report
 ``correct: false`` or failed trials are flagged, and the script then
 exits 1.  Run it from inside the repository; it takes about 2 x N x S
 seconds plus the checks.
@@ -31,17 +34,22 @@ from pathlib import Path
 import numpy as np
 
 
-def summarize(pairs, better):
+def summarize(pairs, better, bounds=None):
     """Per metric: each side's (q1, median, q3) and how many pairs each side won.
 
     ``pairs`` is a list of (metrics of A, metrics of B), each a dict of
     metric name to value; ``better`` maps a metric name to "higher" or
-    "lower".  Returns {metric: {"a": (q1, med, q3), "b": (q1, med, q3),
+    "lower", and ``bounds`` (optional) maps a metric name to its bound.
+    Returns {metric: {"a": (q1, med, q3), "b": (q1, med, q3),
     "a_wins": int, "b_wins": int, "ties": int, "pairs": int, "gain": bool}},
     where "gain" says whether B's gain over A meets the rule: B wins at
     least 9/10 of the pairs, and B's median is better than A's by more
-    than A's interquartile range.
+    than A's interquartile range.  A metric with a bound also gets
+    "bound", "worse" (how much B's median is worse than A's, as a
+    fraction of A's median; negative when B is better) and "over_bound"
+    (B's median is worse than A's by more than the bound).
     """
+    bounds = bounds or {}
     out = {}
     for name, direction in better.items():
         a = np.array([pa[name] for pa, _ in pairs], dtype=float)
@@ -59,6 +67,13 @@ def summarize(pairs, better):
             "pairs": len(pairs),
             "gain": bool(10 * b_wins >= 9 * len(pairs) and sign * (qb[1] - qa[1]) > qa[2] - qa[0]),
         }
+        if name in bounds:
+            worse = sign * (qa[1] - qb[1])
+            out[name].update(
+                bound=bounds[name],
+                worse=worse / abs(qa[1]),
+                over_bound=bool(worse > bounds[name] * abs(qa[1])),
+            )
     return out
 
 
@@ -77,6 +92,14 @@ def format_summary(summary, rev_a, rev_b):
             f"{name}: gain rule {verdict} for {rev_b[:12]}: won {s['b_wins']}/{s['pairs']} pairs "
             f"(needs 9/10), median {s['b'][1] - med_a:+.6g} against IQR {q3 - q1:.6g}"
         )
+    for name, s in summary.items():
+        if "bound" in s:
+            verdict = "worse than the bound" if s["over_bound"] else "within the bound"
+            side = "worse" if s["worse"] > 0 else "better"
+            lines.append(
+                f"{name}: {rev_b[:12]} median {verdict}: {side} by {abs(s['worse']):.1%} "
+                f"of {rev_a[:12]}'s median, bound {s['bound']:.0%}"
+            )
     return "\n".join(lines)
 
 
@@ -122,6 +145,7 @@ def main(argv=None):
         _export(args.rev_b, roots["b"])
         spec = json.loads((roots["a"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
         revs = {"a": args.rev_a, "b": args.rev_b}
         pairs, failed = [], 0
         for i, seed in enumerate(seeds):
@@ -136,7 +160,7 @@ def main(argv=None):
                       + ", ".join(f"{k} {v:.6g}" for k, v in got[side].items()) + flag,
                       flush=True)
             pairs.append((got["a"], got["b"]))
-        print(format_summary(summarize(pairs, better), args.rev_a, args.rev_b))
+        print(format_summary(summarize(pairs, better, bounds), args.rev_a, args.rev_b))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if failed:

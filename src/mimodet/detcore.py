@@ -13,10 +13,19 @@ absolute distances ||y - Lx||^2 - b(x)'lam.
 Every per-axis minimum comes from soft decision boundaries built per
 trial from that trial's priors (:func:`detect_one_sided_batch`);
 ``oracle.exhaustive_axis_argmin`` is the brute-force reference they
-match at exact ties and away from breakpoints.  The kernels carry a
-leading trial axis T and treat each trial on its own, so a trial's
-result does not depend on the batch it ran in.  ``build_slicer_table``
-is the T=1 view of the slicer tables; ``detect_one_sided`` and
+match at exact ties and away from breakpoints.  With zero priors no
+table is built: each level's lower edge in u-space comes from the
+scaled midpoint with the next level and never increases with the
+level, so the level comes straight from the number of edges at or
+below the query (the MU scoring loop, zero-prior sweeps and the VER
+wld path take this path).
+
+The kernels carry a leading trial axis T and treat each trial on its
+own, so a trial's result does not depend on the batch it ran in.
+:func:`hypothesis_minima` serves MU classification: it enumerates the
+first of two layers once for several hypotheses on the second and
+keeps only each row's minimum distance.  ``build_slicer_table`` is the
+T=1 view of the slicer tables; ``detect_one_sided`` and
 ``rescore_candidates`` return one-trial :class:`CandidateBatch`es.
 Priors are None or one array per layer, accepted pre-scaled (the
 1/sigma^2 of the prior-LLR definition is the caller's responsibility).
@@ -45,6 +54,7 @@ __all__ = [
     "CandidateBatch",
     "detect_one_sided",
     "detect_one_sided_batch",
+    "hypothesis_minima",
     "rescore_candidates",
     "rescore_batch",
 ]
@@ -215,15 +225,51 @@ def soft_slice(table: SlicerTable, u):
 def _slice_axis(axis: PamAxis, quad, offset, lam, u):
     """Per-axis minima of B p^2 + (G + u) p - bias for queries u (T, Q).
 
-    Returns (level indices, min values, bias at the minimizing level).
+    Returns (level indices, min values, bias at the minimizing level),
+    the bias a scalar 0.0 with zero priors.  Zero priors build no table:
+    the lo of levels 0..P-2 (see :func:`_slicer_tables`) never increases
+    with the level, rounding being monotone, so the level containing u
+    is P-1 less the number of those lo <= u, exact ties, quad = 0 and
+    unreachable levels included.
     """
-    bias, _, _, _, order, breakpoints = _slicer_tables(axis, quad, offset, lam)
-    rows = np.arange(len(u))[:, None]
-    k = order[rows, _locate(breakpoints[:, None, :], u)]
+    if lam.any():
+        bias, _, _, _, order, breakpoints = _slicer_tables(axis, quad, offset, lam)
+        rows = np.arange(len(u))[:, None]
+        k = order[rows, _locate(breakpoints[:, None, :], u)]
+        b_hat = bias[rows, k]
+    else:
+        lv = axis.levels
+        lo = -(quad[:, None] * (lv[:-1] + lv[1:])) - offset[:, None]
+        k = len(lv) - 1 - _locate(lo[:, None, :], u)
+        b_hat = 0.0
     p_hat = axis.levels[k]
-    b_hat = bias[rows, k]
     val = quad[:, None] * p_hat * p_hat + (offset[:, None] + u) * p_hat - b_hat
     return k, val, b_hat
+
+
+def _enumerated_metric(k: DistanceConstants, x1re, x1im):
+    """A|x1|^2 + C x1re + D x1im (T, Q) of the enumerated coordinates x1 (Q,)."""
+    return (
+        k.enum_quad[:, None] * (x1re * x1re + x1im * x1im)
+        + k.enum_lin_re[:, None] * x1re
+        + k.enum_lin_im[:, None] * x1im
+    )
+
+
+def _slice_layer(c, quad, cross_re, cross_im, lin_re, lin_im, lam, x1re, x1im):
+    """Axis minima of one sliced layer with constellation c, given x1 (Q,).
+
+    ``quad``, ``cross_*`` and ``lin_*`` are the layer's (T,) constants,
+    ``lam`` its (T, q) priors.  Returns the real and the imaginary axis'
+    (level indices, min values, bias) of :func:`_slice_axis`.
+    """
+    lam_re, lam_im = split_prior(c, lam)
+    cre = cross_re[:, None]
+    cim = cross_im[:, None]
+    return (
+        _slice_axis(c.real_axis, quad, lin_re, lam_re, cre * x1re + cim * x1im),
+        _slice_axis(c.imag_axis, quad, lin_im, lam_im, cre * x1im - cim * x1re),
+    )
 
 
 class CandidateBatch(NamedTuple):
@@ -259,21 +305,32 @@ class CandidateBatch(NamedTuple):
         ]
 
 
+def _layer_priors(priors, constellations, t):
+    """``priors`` as None or one float (T, q_n) array per layer of ``constellations``.
+
+    Raises ValueError naming the first layer whose entry (None included)
+    does not hold T rows of q_n prior LLRs.
+    """
+    if priors is None:
+        return None
+    out = [np.asarray(lam, dtype=float) for lam in priors]
+    if len(out) != len(constellations):
+        raise ValueError(f"expected one prior array per layer, got {len(out)}")
+    for i, (c, lam) in enumerate(zip(constellations, out)):
+        if lam.shape != (t, c.bits_per_symbol):
+            raise ValueError(f"layer {i}: expected {c.bits_per_symbol} priors")
+    return out
+
+
 def _position_priors(priors, cons, perms, t):
     """Prior LLRs (S T, q) of each decomposition position, stacked over the sides.
 
-    ``priors`` is None (zeros) or one (T, q_n) array per original layer.
+    ``priors`` is None (zeros) or one checked (T, q_n) array per original
+    layer (:func:`_layer_priors`).
     """
     if priors is None:
         return [np.zeros((len(perms) * t, c.bits_per_symbol)) for c in cons]
-    out = []
-    for i, c in enumerate(cons):
-        lams = [np.asarray(priors[perm[i]], dtype=float) for perm in perms]
-        for perm, lam in zip(perms, lams):
-            if lam.shape != (t, c.bits_per_symbol):
-                raise ValueError(f"layer {perm[i]}: expected {c.bits_per_symbol} priors")
-        out.append(np.concatenate(lams))
-    return out
+    return [np.concatenate([priors[perm[i]] for perm in perms]) for i in range(len(cons))]
 
 
 def detect_one_sided_batch(
@@ -308,7 +365,7 @@ def detect_one_sided_batch(
     t, rest = divmod(n_rows, len(perms))
     if rest:
         raise ValueError("l and y must stack the same number of trials per side")
-    lam = _position_priors(priors, cons, perms, t)
+    lam = _position_priors(_layer_priors(priors, constellations, t), cons, perms, t)
     k = _constants(l, y)
 
     def put(out, i, value):
@@ -320,12 +377,8 @@ def detect_one_sided_batch(
     x1re = pts.real
     x1im = pts.imag
     bias0 = _bias(c0.point_bits, lam[0])
-    gbar = (
-        k.enum_quad[:, None] * (x1re * x1re + x1im * x1im)
-        + k.enum_lin_re[:, None] * x1re
-        + k.enum_lin_im[:, None] * x1im
-        - bias0
-    )
+    gbar = _enumerated_metric(k, x1re, x1im)
+    gbar -= bias0
     total_bias = bias0.copy()
 
     q = len(pts)
@@ -335,15 +388,9 @@ def detect_one_sided_batch(
     put(index, 0, np.broadcast_to(np.arange(q), (n_rows, q)))
     for i in range(1, n):
         c = cons[i]
-        lam_re, lam_im = split_prior(c, lam[i])
-        cre = k.cross_re[:, i - 1, None]
-        cim = k.cross_im[:, i - 1, None]
-        bq = k.slice_quad[:, i - 1]
-        k_re, v_re, b_re = _slice_axis(
-            c.real_axis, bq, k.slice_lin_re[:, i - 1], lam_re, cre * x1re + cim * x1im
-        )
-        k_im, v_im, b_im = _slice_axis(
-            c.imag_axis, bq, k.slice_lin_im[:, i - 1], lam_im, cre * x1im - cim * x1re
+        (k_re, v_re, b_re), (k_im, v_im, b_im) = _slice_layer(
+            c, k.slice_quad[:, i - 1], k.cross_re[:, i - 1], k.cross_im[:, i - 1],
+            k.slice_lin_re[:, i - 1], k.slice_lin_im[:, i - 1], lam[i], x1re, x1im,
         )
         gbar += v_re + v_im
         total_bias += b_re + b_im
@@ -354,6 +401,46 @@ def detect_one_sided_batch(
     return CandidateBatch(
         symbols, gbar + dropped[:, None], total_bias, index, tuple(p[0] for p in perms), "L",
     )
+
+
+def hypothesis_minima(l: np.ndarray, y: np.ndarray, enumerated, hypotheses) -> np.ndarray:
+    """Minimum distance (H, R) of R two-layer rows under each hypothesis for layer 1.
+
+    ``l`` (R, 2, 2) and ``y`` (R, 2) hold the rows' factors and
+    transformed observations.  Layer 0 carries ``enumerated``; under
+    hypothesis h layer 1 carries ``hypotheses[h]`` at unit energy, its
+    column of ``l`` scaled by the constellation's ``unit_energy_scale``.
+    Priors are zero.  Entry (h, r) equals the minimum of row r's
+    candidate distances from :func:`detect_one_sided_batch` on the
+    scaled factor, bit for bit: the enumerated layer's metric does not
+    depend on the column scale and is computed once for every hypothesis.
+    """
+    l = np.asarray(l, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if l.ndim != 3 or l.shape[1:] != (2, 2) or y.shape != l.shape[:2]:
+        raise ValueError("l must be (R, 2, 2) and y (R, 2)")
+    k = _constants(l, y)
+    pts = enumerated.points
+    x1re = pts.real
+    x1im = pts.imag
+    gbar = _enumerated_metric(k, x1re, x1im)
+    dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)[:, None]
+    beta = l[:, 1, 1].real
+    cre = l[:, 1, 0].real
+    cim = l[:, 1, 0].imag
+    out = np.empty((len(hypotheses), len(l)))
+    for h, c in enumerate(hypotheses):
+        # the terms of _constants with beta scaled, in its evaluation order
+        b = beta * c.unit_energy_scale
+        m2b = -2.0 * b
+        (_, v_re, _), (_, v_im, _) = _slice_layer(
+            c, b * b, 2.0 * b * cre, m2b * cim, m2b * y[:, 1].real, m2b * y[:, 1].imag,
+            np.zeros((len(l), c.bits_per_symbol)), x1re, x1im,
+        )
+        g = gbar + (v_re + v_im)
+        g += dropped
+        out[h] = g.min(axis=1)
+    return out
 
 
 def detect_one_sided(

@@ -14,8 +14,10 @@ core, which also gives the desired user's LLRs on a tone (:func:`mu_llr`).
 
 One scoring loop serves every caller (:func:`window_scores`): it scores
 many windows at several noise levels at once, factoring the channels
-once and detecting every tone in a few batched calls per hypothesis;
-:func:`classify_interferer` runs it on one window at one noise level.
+once and scoring every tone in a few batched calls, each of which
+enumerates the desired symbol once for all four hypotheses and keeps
+only each tone's minimum distance; :func:`classify_interferer` runs it
+on one window at one noise level.
 
 Transmitted symbols are unit energy per user: the effective channel
 column for a constellation c is the raw column scaled by
@@ -31,7 +33,7 @@ import numpy as np
 
 from .constellation import Constellation, make_constellation
 from .decomp import SINGULAR_RTOL, ql_decompose_batch
-from .detcore import BATCH_CELLS, CandidateBatch, detect_one_sided_batch
+from .detcore import BATCH_CELLS, CandidateBatch, detect_one_sided_batch, hypothesis_minima
 from .errors import SingularChannelError
 from .llrpost import partition_minima
 
@@ -151,7 +153,7 @@ def _detection_rows(f: _ToneFactors, y, lo, hi):
 
 
 def _hypothesis_batch(l, y, desired: Constellation, hyp: Constellation) -> CandidateBatch:
-    """Candidate lists of every row (tone) under one interferer hypothesis.
+    """Candidate lists of every row (tone) under one interferer hypothesis (for :func:`mu_llr`).
 
     The desired symbol is enumerated and the interferer sliced with zero
     priors; the interferer scaling acts on column 1 of the factor.
@@ -167,13 +169,11 @@ def _sums_and_scores(channels, observations, desired: Constellation, noise_var, 
     y = _transform(f, observations)
     n_rows = y.size // 2
     step = max(1, BATCH_CELLS // desired.order)
-    minima = np.empty((len(MU_HYPOTHESIS_ORDERS), n_rows))
-    for i, order in enumerate(MU_HYPOTHESIS_ORDERS):
-        hyp = make_constellation(order)
-        for lo in range(0, n_rows, step):
-            hi = min(lo + step, n_rows)
-            cand = _hypothesis_batch(*_detection_rows(f, y, lo, hi), desired, hyp)
-            minima[i, lo:hi] = cand.distances.min(axis=1)
+    hyps = [make_constellation(order) for order in MU_HYPOTHESIS_ORDERS]
+    minima = np.empty((len(hyps), n_rows))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        minima[:, lo:hi] = hypothesis_minima(*_detection_rows(f, y, lo, hi), desired, hyps)
     sums = minima.reshape((len(MU_HYPOTHESIS_ORDERS),) + y.shape[:3]).sum(axis=-1)
     penalty = np.array([y.shape[2] * np.log(order) for order in MU_HYPOTHESIS_ORDERS])
     return sums, penalty[:, None, None] + sums / np.asarray(noise_var)[:, None]
@@ -187,12 +187,13 @@ def window_scores(channels, observations, desired: Constellation, noise_var,
     raw channels and the received vectors, ``noise_var`` (P,) the noise
     variance of each level; axis 0 follows :data:`MU_HYPOTHESIS_ORDERS`,
     so its argmin picks each window's hypothesis.  The channels are
-    factored once.  Each hypothesis detects every (level, scenario, tone)
-    row in calls of at most ``BATCH_CELLS // desired.order`` rows and
-    keeps only each row's minimum; a row's minimum does not depend on
-    the call it ran in, so a window scores as it does alone
-    (:func:`classify_interferer`).  A vanishing desired column raises,
-    naming scenario ``scenario0 + s``.
+    factored once.  The (level, scenario, tone) rows go out in blocks of
+    at most ``BATCH_CELLS // desired.order`` rows, one
+    :func:`~mimodet.detcore.hypothesis_minima` call each, which keeps
+    only each row's minimum under every hypothesis; a row's minimum does
+    not depend on the block it ran in, so a window scores as it does
+    alone (:func:`classify_interferer`).  A vanishing desired column
+    raises, naming scenario ``scenario0 + s``.
     """
     return _sums_and_scores(channels, observations, desired, noise_var, scenario0)[1]
 

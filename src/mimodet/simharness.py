@@ -39,7 +39,7 @@ import numpy as np
 
 from .constellation import make_constellation
 from .decomp import punctured_decompose_batch, ql_decompose_batch, transform_observation_batch
-from .detcore import BATCH_CELLS, detect_one_sided_batch, hard_slice, rescore_batch
+from .detcore import BATCH_CELLS, _layer_priors, detect_one_sided_batch, hard_slice, rescore_batch
 from .errors import ConfigError, ShadowOracleMismatch
 from .hwmodel import FixedPointFormat, quantize
 from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
@@ -239,7 +239,8 @@ def detect_batch(
 
     ``h_eff`` (T, N, N) already carries the unit-energy scaling,
     ``y_tilde`` is (T, N), ``priors`` None or one (T, q_n) array per
-    layer; a detector and distance mode that :meth:`SimConfig.validate`
+    layer (a wrong entry raises ValueError naming its layer, whatever the
+    detector); a detector and distance mode that :meth:`SimConfig.validate`
     rejects raise ConfigError.  Quantization, if requested, applies to the
     detector inputs and the candidate distances (see :func:`_candidate_batches`);
     the oracle detector ignores it and runs trial by trial.  Returns the
@@ -248,6 +249,7 @@ def detect_batch(
     _check_detector(detector, distance_mode, len(constellations))
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
+    priors = _layer_priors(priors, constellations, len(h_eff))
     if detector == "oracle":
         res = [exhaustive_map(h_eff[t], y_tilde[t], constellations,
                               None if priors is None else [lam[t] for lam in priors])
@@ -719,8 +721,8 @@ def mu_classification_rates(
     random numbers), which makes the rate-vs-SNR trend monotone up to
     per-scenario granularity.  Each 64-scenario chunk is classified at
     every SNR point by one :func:`~mimodet.mumimo.window_scores` call:
-    its channels are factored once, and each hypothesis detects all of
-    the chunk's tones in a few batched calls.
+    its channels are factored once, and a few batched calls score all of
+    the chunk's tones under every hypothesis.
     """
     _check_mu_run(snr_db_grid, n_tones, interferer_order, scenarios, threads)
     des = make_constellation(desired_order)

@@ -18,7 +18,13 @@ from mimodet import (
     split_prior,
     transform_observation,
 )
-from mimodet.detcore import _constants, _slicer_tables, detect_one_sided_batch
+from mimodet.detcore import (
+    _constants,
+    _locate,
+    _slice_axis,
+    _slicer_tables,
+    detect_one_sided_batch,
+)
 
 RNG = np.random.default_rng
 
@@ -245,6 +251,50 @@ def test_zero_prior_slicer_at_and_beside_every_breakpoint(order):
             for u in (np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)):
                 assert soft_slice(tab, u) == exact_axis_argmin(ax, quad, offset, u)
             assert soft_slice(tab, np.nextafter(bp, -np.inf)) != soft_slice(tab, bp)
+
+
+# axis of each size: BPSK's imaginary axis has one level
+AXES = {1: (2, "imag_axis"), 2: (4, "real_axis"), 4: (16, "real_axis"),
+        8: (64, "real_axis"), 16: (256, "real_axis")}
+
+
+@pytest.mark.parametrize("size", sorted(AXES))
+def test_zero_prior_slice_axis_equals_the_tables_path(size):
+    # zero priors skip the tables; index, value and bias must still be
+    # the tables path's bit for bit, zero signs included
+    order, name = AXES[size]
+    ax = getattr(make_constellation(order), name)
+    rng = RNG(70 + size)
+    lv = ax.levels
+    quad = np.concatenate([
+        [1.0, 0.5, 2.0, 0.25, 0.0, 0.0, 0.0, 1e-20, 1e-20, 5e-324, 3.7],
+        rng.exponential(size=8),
+    ])
+    offset = np.concatenate([
+        [0.0, -3.0, 5.5, 1.0, 0.0, -0.0, 2.5, 1e19, -1e19, 0.0, -1e17],
+        rng.normal(0, 10, 8),
+    ])
+    # every query kind per trial: the breakpoints, one ulp either side,
+    # signed zeros, -offset and a spread of random values
+    lo = -(quad[:, None] * (lv[:-1] + lv[1:])) - offset[:, None]
+    u = np.concatenate([
+        lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+        np.broadcast_to([0.0, -0.0], (len(quad), 2)), -offset[:, None],
+        rng.normal(0, 20, (len(quad), 6)) * 10.0 ** rng.integers(-2, 20, (len(quad), 6)),
+    ], axis=1)
+    lam = np.zeros((len(quad), ax.bits_per_level))
+    bias, _, _, reachable, order_, breakpoints = _slicer_tables(ax, quad, offset, lam)
+    rows = np.arange(len(quad))[:, None]
+    k_want = order_[rows, _locate(breakpoints[:, None, :], u)]
+    p = lv[k_want]
+    b_want = bias[rows, k_want]
+    v_want = quad[:, None] * p * p + (offset[:, None] + u) * p - b_want
+    k, v, b = _slice_axis(ax, quad, offset, lam, u)
+    assert np.array_equal(k, k_want)
+    assert v.tobytes() == v_want.tobytes()
+    assert np.broadcast_to(b, b_want.shape).tobytes() == b_want.tobytes()
+    # quad = 0 and tiny quad under a large offset leave no middle level reachable
+    assert not reachable[4:9, 1:-1].any()
 
 
 # --- one-sided detection ---------------------------------------------------

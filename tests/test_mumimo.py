@@ -175,6 +175,39 @@ def test_stacked_window_scores_equal_classify_interferer(monkeypatch):
             assert MU_HYPOTHESIS_ORDERS[np.argmin(scores[:, p, s])] == cls.chosen.order
 
 
+@pytest.mark.parametrize("desired_order", [4, 16, 64, 256])
+def test_hypothesis_minima_equal_per_hypothesis_candidate_minima(desired_order, monkeypatch):
+    # every row block of the scoring loop: one kernel call gives each
+    # hypothesis' row minima of its candidate lists bit for bit, on
+    # interference-free tones and integer observations too
+    import mimodet.mumimo as mumimo
+
+    rng = np.random.default_rng(30 + desired_order)
+    des = make_constellation(desired_order)
+    hyps = [make_constellation(q) for q in MU_HYPOTHESIS_ORDERS]
+    monkeypatch.setattr(mumimo, "BATCH_CELLS", 5 * des.order)
+    n_scn, k = 3, 7
+    h = (rng.standard_normal((n_scn, k, 2, 2)) + 1j * rng.standard_normal((n_scn, k, 2, 2)))
+    h[0, 2, :, 1] = 0
+    h[2, [0, 5, 6], :, 1] = 0
+    y = np.round(4 * (rng.standard_normal((2, n_scn, k, 2))
+                      + 1j * rng.standard_normal((2, n_scn, k, 2))))
+    blocks = []
+    kernel = mumimo.hypothesis_minima
+
+    def checked(l, yb, desired, hypotheses):
+        got = kernel(l, yb, desired, hypotheses)
+        blocks.append(len(l))
+        for hyp, row in zip(hypotheses, got, strict=True):
+            want = mumimo._hypothesis_batch(l, yb, desired, hyp).distances.min(axis=1)
+            assert row.tobytes() == want.tobytes(), hyp.order
+        return got
+
+    monkeypatch.setattr(mumimo, "hypothesis_minima", checked)
+    window_scores(h, y, des, np.array([0.2, 2.0]))
+    assert blocks == [5] * 8 + [2]  # 42 rows in blocks that straddle the 7-tone windows
+
+
 def test_window_scores_name_the_scenario_and_tone_of_a_vanishing_desired_column():
     rng = np.random.default_rng(9)
     h = rng.standard_normal((3, 4, 2, 2)) + 0j

@@ -75,6 +75,42 @@ def test_bench_pairs_gain_rule_on_canned_runs():
     assert "m: gain rule holds for change: won 10/10 pairs" in text
 
 
+def test_bench_pairs_bound_rule_on_canned_runs():
+    # a median worse than the parent's by more than the metric's bound is
+    # flagged: a setup_s of 0.170 -> 0.228 s is +34% against a bound of 25%
+    ns = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    setup_a = [0.160, 0.165, 0.170, 0.175, 0.180]
+    setup_b = [0.218, 0.223, 0.228, 0.233, 0.238]
+    rate_a = [100.0, 101.0, 102.0, 103.0, 104.0]
+    better = {"setup_s": "lower", "trials_per_s": "higher", "peak_rss_mib": "lower"}
+    bounds = {"setup_s": 0.25, "trials_per_s": 0.2}
+
+    def summary(rate_b):
+        pairs = [({"setup_s": sa, "trials_per_s": ra, "peak_rss_mib": 40.0},
+                  {"setup_s": sb, "trials_per_s": rb, "peak_rss_mib": 40.0})
+                 for sa, sb, ra, rb in zip(setup_a, setup_b, rate_a, rate_b)]
+        return ns["summarize"](pairs, better, bounds)
+
+    s = summary([x * 0.9 for x in rate_a])
+    assert s["setup_s"]["over_bound"] and s["setup_s"]["bound"] == 0.25
+    assert abs(s["setup_s"]["worse"] - 0.058 / 0.170) < 1e-12
+    assert not s["trials_per_s"]["over_bound"]
+    assert abs(s["trials_per_s"]["worse"] - 0.1) < 1e-12
+    assert "bound" not in s["peak_rss_mib"]  # no bound, no verdict
+    text = ns["format_summary"](s, "parent", "change")
+    assert "setup_s: change median worse than the bound: worse by 34.1%" in text
+    assert "trials_per_s: change median within the bound: worse by 10.0%" in text
+    assert "peak_rss_mib: change median" not in text
+    # a 25% fall in trials/s breaks its 20% bound; a gain reads as negative
+    assert summary([x * 0.75 for x in rate_a])["trials_per_s"]["over_bound"]
+    s = summary([x * 1.5 for x in rate_a])
+    assert not s["trials_per_s"]["over_bound"] and abs(s["trials_per_s"]["worse"] + 0.5) < 1e-12
+    text = ns["format_summary"](s, "parent", "change")
+    assert "trials_per_s: change median within the bound: better by 50.0%" in text
+    # without bounds the summary has no bound entries
+    assert "bound" not in ns["summarize"]([({"m": 1.0}, {"m": 2.0})], {"m": "lower"})["m"]
+
+
 @pytest.mark.parametrize("bad", [None, {"correct": False}, {"failed": 2}])
 def test_bench_pairs_exits_nonzero_when_a_run_fails_its_checks(bad, monkeypatch, capsys):
     import shutil
@@ -102,6 +138,7 @@ def test_bench_pairs_exits_nonzero_when_a_run_fails_its_checks(bad, monkeypatch,
     out = capsys.readouterr()
     assert calls == ["a", "b", "b", "a"]  # alternating order
     assert "gain rule" in out.out
+    assert "trials_per_s: B median within the bound" in out.out  # bounds from BENCHMARK.json
     if bad is None:
         assert code == 0 and "CHECK FAILED" not in out.out
     else:

@@ -752,6 +752,20 @@ def test_a_none_prior_entry_is_rejected():
         detect_one_sided(d, transform_observation(d, y[0]), cons, one)
 
 
+@pytest.mark.parametrize("detector", ["map2", "wld", "oracle"])
+def test_every_detector_rejects_a_bad_prior_entry_by_layer(detector):
+    # the oracle checks priors with the kernel path's check and message
+    rng = np.random.default_rng(12)
+    cons = (make_constellation(4), make_constellation(4))
+    h = crandn(rng, 3, 2, 2)
+    y = crandn(rng, 3, 2)
+    for layer, bad in ((1, None), (0, np.zeros((1, 3))), (1, np.zeros((3, 3)))):
+        lam = [np.zeros((3, 2)), np.zeros((3, 2))]
+        lam[layer] = bad
+        with pytest.raises(ValueError, match=f"^layer {layer}: expected 2 priors$"):
+            detect_batch(h, y, cons, lam, detector)
+
+
 @pytest.mark.parametrize("detector,distance_mode,n", [
     ("zf", "L", 2),
     ("map2", "L", 3),
