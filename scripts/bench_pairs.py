@@ -1,26 +1,30 @@
 #!/usr/bin/env python3
-"""Compare two revisions on one benchmark workload in alternating pairs of runs.
+"""Compare two revisions on benchmark workloads in alternating pairs of runs.
 
-    python3 scripts/bench_pairs.py REV_A REV_B --workload W --pairs N --seconds S \\
-        [--seeds 1,2,4099]
+    python3 scripts/bench_pairs.py REV_A REV_B --workload W[,W2...]|all --pairs N \\
+        --seconds S [--seeds 1,2,4099]
 
-Each revision is exported with ``git archive`` into its own directory and
-``bench/run.py`` runs from that copy, so both sides build from committed
-files only.  Pair i runs seed i+1 (or the i-th of ``--seeds``) on both
-sides; even pairs run REV_A first, odd pairs REV_B first, so a slow
-stretch of the host does not always fall on the same side.  The script
-prints each run as it finishes, then per end-to-end metric the median
-and quartiles of each side and how many pairs each side won (the
-metric's better direction comes from REV_A's ``BENCHMARK.json``), and
-one line per metric saying whether the gain rule holds: REV_B wins at
-least nine tenths of the pairs and its median is better than REV_A's
-by more than REV_A's interquartile range.  A metric that carries a
-``bound`` in REV_A's ``BENCHMARK.json`` gets one more line, saying
-whether REV_B's median is worse than REV_A's by more than that bound
-(a fraction of REV_A's median), the rule that refuses a change.  Runs that report
-``correct: false`` or failed trials are flagged, and the script then
-exits 1.  Run it from inside the repository; it takes about 2 x N x S
-seconds plus the checks.
+Each revision is exported once with ``git archive`` into its own directory
+and ``bench/run.py`` runs from that copy, so both sides build from
+committed files only.  ``--workload`` names one workload, a comma list,
+or ``all`` for every workload in REV_A's ``BENCHMARK.json``; the
+workloads run one after the other, each with its own pairs.  Pair i runs
+seed i+1 (or the i-th of ``--seeds``) on both sides; even pairs run
+REV_A first, odd pairs REV_B first, so a slow stretch of the host does
+not always fall on the same side.  The script prints each run as it
+finishes, then per workload and end-to-end metric the median and
+quartiles of each side and how many pairs each side won (the metric's
+better direction comes from REV_A's ``BENCHMARK.json``), and one line
+per metric saying whether the gain rule holds: REV_B wins at least nine
+tenths of the pairs and its median is better than REV_A's by more than
+REV_A's interquartile range.  A metric that carries a ``bound`` in
+REV_A's ``BENCHMARK.json`` gets one more line, saying whether REV_B's
+median is worse than REV_A's by more than that bound (a fraction of
+REV_A's median), the rule that refuses a change.  Runs that report
+``correct: false`` or failed trials are flagged, and once every
+workload has run the script exits 1.  Run it from inside the
+repository; it takes about 2 x N x S seconds per workload plus the
+checks.
 """
 
 import argparse
@@ -128,7 +132,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("rev_a")
     p.add_argument("rev_b")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="name, comma list, or all")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seeds", default=None, help="comma list, one seed per pair")
@@ -146,25 +150,32 @@ def main(argv=None):
         spec = json.loads((roots["a"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+        workloads = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+                     else args.workload.split(","))
         revs = {"a": args.rev_a, "b": args.rev_b}
-        pairs, failed = [], 0
-        for i, seed in enumerate(seeds):
-            got = {}
-            for side in ("ab" if i % 2 == 0 else "ba"):
-                res = _run(roots[side], args.workload, seed, args.seconds)
-                got[side] = {k: v["value"] for k, v in res["metrics"].items()}
-                ok = res["correct"] and not res["failed"]
-                failed += not ok
-                flag = "" if ok else "  CHECK FAILED"
-                print(f"pair {i} seed {seed} {revs[side]}: "
-                      + ", ".join(f"{k} {v:.6g}" for k, v in got[side].items()) + flag,
-                      flush=True)
-            pairs.append((got["a"], got["b"]))
-        print(format_summary(summarize(pairs, better, bounds), args.rev_a, args.rev_b))
+        failed = 0
+        for workload in workloads:
+            print(f"== {workload}", flush=True)
+            pairs = []
+            for i, seed in enumerate(seeds):
+                got = {}
+                for side in ("ab" if i % 2 == 0 else "ba"):
+                    res = _run(roots[side], workload, seed, args.seconds)
+                    got[side] = {k: v["value"] for k, v in res["metrics"].items()}
+                    ok = res["correct"] and not res["failed"]
+                    failed += not ok
+                    flag = "" if ok else "  CHECK FAILED"
+                    print(f"{workload} pair {i} seed {seed} {revs[side]}: "
+                          + ", ".join(f"{k} {v:.6g}" for k, v in got[side].items()) + flag,
+                          flush=True)
+                pairs.append((got["a"], got["b"]))
+            print(format_summary(summarize(pairs, better, bounds), args.rev_a, args.rev_b),
+                  flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if failed:
-        print(f"{failed} of {2 * len(seeds)} runs failed their checks", file=sys.stderr)
+        print(f"{failed} of {2 * len(seeds) * len(workloads)} runs failed their checks",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -24,9 +24,13 @@ The kernels carry a leading trial axis T and treat each trial on its
 own, so a trial's result does not depend on the batch it ran in.
 :func:`hypothesis_minima` serves MU classification: it enumerates the
 first of two layers once for several hypotheses on the second and
-keeps only each row's minimum distance.  ``build_slicer_table`` is the
-T=1 view of the slicer tables; ``detect_one_sided`` and
-``rescore_candidates`` return one-trial :class:`CandidateBatch`es.
+keeps only each row's minimum distance.  Since a minimum does not
+depend on candidate order, it enumerates the level grid rather than
+the points, slices both axes of the second layer in one stacked call,
+and adds |y|^2 to the minima rather than to every candidate.
+``build_slicer_table`` is the T=1 view of the slicer tables;
+``detect_one_sided`` and ``rescore_candidates`` return one-trial
+:class:`CandidateBatch`es.
 Priors are None or one array per layer, accepted pre-scaled (the
 1/sigma^2 of the prior-LLR definition is the caller's responsibility).
 
@@ -105,12 +109,20 @@ def _constants(l: np.ndarray, y: np.ndarray) -> DistanceConstants:
 
 
 def _locate(breakpoints, u):
-    """Number of breakpoints <= u; ``breakpoints`` broadcasts against u[..., None]."""
+    """Number of breakpoints <= u; ``breakpoints`` broadcasts against u[..., None].
+
+    An axis has at most 16 levels, so at most 15 breakpoints: the count
+    runs in uint8, each comparison written into a uint8 buffer viewed as
+    bool, and is cast to intp once.
+    """
     u = np.asarray(u, dtype=float)
-    count = np.zeros(np.broadcast_shapes(u.shape, breakpoints.shape[:-1]), dtype=np.intp)
+    assert breakpoints.shape[-1] < 256, "the uint8 count holds at most 255 breakpoints"
+    count = np.zeros(np.broadcast(u[..., None], breakpoints[..., :1]).shape[:-1], dtype=np.uint8)
+    hit = np.empty_like(count)
     for j in range(breakpoints.shape[-1]):
-        count += breakpoints[..., j] <= u
-    return count
+        np.less_equal(breakpoints[..., j], u, out=hit.view(bool))
+        count += hit
+    return count.astype(np.intp)
 
 
 def hard_slice(axis: PamAxis, z, beta):
@@ -222,53 +234,94 @@ def soft_slice(table: SlicerTable, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _slice_axis(axis: PamAxis, quad, offset, lam, u):
-    """Per-axis minima of B p^2 + (G + u) p - bias for queries u (T, Q).
+def _per_row(a, ndim):
+    """(T,) constants shaped (T, 1, ...) against (T, ...) arrays of ``ndim`` axes."""
+    return a.reshape((-1,) + (1,) * (ndim - 1))
 
-    Returns (level indices, min values, bias at the minimizing level),
-    the bias a scalar 0.0 with zero priors.  Zero priors build no table:
+
+def _slice_axis(axis: PamAxis, quad, offset, lam, u):
+    """Per-axis minima of B p^2 + (G + u) p - bias for queries u (T, ...).
+
+    ``quad`` and ``offset`` are (T,), ``lam`` (T, t) or None for zero
+    priors.  Returns (level indices, min values, bias at the minimizing
+    level), the bias a scalar 0.0 with zero priors.  Zero priors build no table:
     the lo of levels 0..P-2 (see :func:`_slicer_tables`) never increases
     with the level, rounding being monotone, so the level containing u
     is P-1 less the number of those lo <= u, exact ties, quad = 0 and
-    unreachable levels included.
+    unreachable levels included; the zero bias is not subtracted, as
+    x - 0.0 is x bit for bit.
     """
-    if lam.any():
+    lv = axis.levels
+    quad_u = _per_row(quad, u.ndim)
+    offset_u = _per_row(offset, u.ndim)
+    if lam is not None and lam.any():
         bias, _, _, _, order, breakpoints = _slicer_tables(axis, quad, offset, lam)
-        rows = np.arange(len(u))[:, None]
-        k = order[rows, _locate(breakpoints[:, None, :], u)]
-        b_hat = bias[rows, k]
+        # flat gathers from the (T, P) tables at row offsets
+        rows = _per_row(np.arange(0, order.size, len(lv)), u.ndim)
+        k = np.take(order, _locate(breakpoints.reshape(quad_u.shape + (-1,)), u) + rows)
+        b_hat = np.take(bias, k + rows)
+        p_hat = np.take(lv, k)
+        val = quad_u * p_hat * p_hat + (offset_u + u) * p_hat - b_hat
     else:
-        lv = axis.levels
         lo = -(quad[:, None] * (lv[:-1] + lv[1:])) - offset[:, None]
-        k = len(lv) - 1 - _locate(lo[:, None, :], u)
+        k = len(lv) - 1 - _locate(lo.reshape(quad_u.shape + (-1,)), u)
         b_hat = 0.0
-    p_hat = axis.levels[k]
-    val = quad[:, None] * p_hat * p_hat + (offset[:, None] + u) * p_hat - b_hat
+        p_hat = np.take(lv, k)
+        val = quad_u * p_hat * p_hat + (offset_u + u) * p_hat
     return k, val, b_hat
 
 
 def _enumerated_metric(k: DistanceConstants, x1re, x1im):
-    """A|x1|^2 + C x1re + D x1im (T, Q) of the enumerated coordinates x1 (Q,)."""
+    """A|x1|^2 + C x1re + D x1im (T, ...) of enumerated coordinates x1re, x1im.
+
+    The coordinates broadcast against each other: the points (Q,) or a
+    level grid (P_re, 1) and (1, P_im), whose products with C and D then
+    stay (T, P_re, 1) and (T, 1, P_im) until the sums broadcast them.
+    """
+    ndim = 1 + np.ndim(x1re)
     return (
-        k.enum_quad[:, None] * (x1re * x1re + x1im * x1im)
-        + k.enum_lin_re[:, None] * x1re
-        + k.enum_lin_im[:, None] * x1im
+        _per_row(k.enum_quad, ndim) * (x1re * x1re + x1im * x1im)
+        + _per_row(k.enum_lin_re, ndim) * x1re
+        + _per_row(k.enum_lin_im, ndim) * x1im
     )
 
 
 def _slice_layer(c, quad, cross_re, cross_im, lin_re, lin_im, lam, x1re, x1im):
-    """Axis minima of one sliced layer with constellation c, given x1 (Q,).
+    """Axis minima of one sliced layer with constellation c, given x1.
 
     ``quad``, ``cross_*`` and ``lin_*`` are the layer's (T,) constants,
-    ``lam`` its (T, q) priors.  Returns the real and the imaginary axis'
-    (level indices, min values, bias) of :func:`_slice_axis`.
+    ``lam`` its (T, q) priors or None for zero priors; x1re and x1im
+    broadcast as in :func:`_enumerated_metric`.  Returns the real and
+    the imaginary axis' (level indices, min values, bias) of
+    :func:`_slice_axis`.
+
+    The queries u_re = E x1re + F x1im and u_im = E x1im - F x1re go
+    into one (2, T, ...) buffer.  A square constellation with zero
+    priors slices both in one zero-prior call on the 2T stacked rows.
+    Stacking is kept to all-zero priors: stacked with a non-zero axis,
+    a zero-prior axis would take the tables path, whose biases can be
+    -0.0 where the zero-prior path gives 0.0.
     """
-    lam_re, lam_im = split_prior(c, lam)
-    cre = cross_re[:, None]
-    cim = cross_im[:, None]
+    ndim = 1 + np.ndim(x1re)
+    cre = _per_row(cross_re, ndim)
+    cim = _per_row(cross_im, ndim)
+    e_re, f_re = cre * x1re, cim * x1re
+    e_im, f_im = cre * x1im, cim * x1im
+    u = np.empty((2, len(quad)) + np.broadcast(x1re, x1im).shape)
+    np.add(e_re, f_im, out=u[0])
+    np.subtract(e_im, f_re, out=u[1])
+    if (lam is None or not lam.any()) and c.real_axis is c.imag_axis:
+        k, v, b = _slice_axis(
+            c.real_axis, np.concatenate((quad, quad)), np.concatenate((lin_re, lin_im)),
+            None, u.reshape((-1,) + u.shape[2:]),
+        )
+        k = k.reshape(u.shape)
+        v = v.reshape(u.shape)
+        return (k[0], v[0], b), (k[1], v[1], b)
+    lam_re, lam_im = (None, None) if lam is None else split_prior(c, lam)
     return (
-        _slice_axis(c.real_axis, quad, lin_re, lam_re, cre * x1re + cim * x1im),
-        _slice_axis(c.imag_axis, quad, lin_im, lam_im, cre * x1im - cim * x1re),
+        _slice_axis(c.real_axis, quad, lin_re, lam_re, u[0]),
+        _slice_axis(c.imag_axis, quad, lin_im, lam_im, u[1]),
     )
 
 
@@ -412,19 +465,28 @@ def hypothesis_minima(l: np.ndarray, y: np.ndarray, enumerated, hypotheses) -> n
     column of ``l`` scaled by the constellation's ``unit_energy_scale``.
     Priors are zero.  Entry (h, r) equals the minimum of row r's
     candidate distances from :func:`detect_one_sided_batch` on the
-    scaled factor, bit for bit: the enumerated layer's metric does not
-    depend on the column scale and is computed once for every hypothesis.
+    scaled factor, bit for bit:
+
+    - the enumerated layer's metric does not depend on the column scale
+      and is computed once for every hypothesis;
+    - a row's minimum does not depend on the order of its candidates, so
+      layer 0 is enumerated as its (P_re, P_im) level grid rather than
+      in point order: the products with the level coordinates are taken
+      on (R, P_re, 1) and (R, 1, P_im) arrays and meet in one broadcast
+      add per sum, each element the same float as in point order;
+    - both axes of layer 1 are sliced in one stacked call
+      (:func:`_slice_layer`), every hypothesis being square QAM;
+    - |y|^2 is added to the (H, R) minima, not to every candidate:
+      rounding is monotone, so min_i fl(g_i + c) = fl(min_i g_i + c).
     """
     l = np.asarray(l, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if l.ndim != 3 or l.shape[1:] != (2, 2) or y.shape != l.shape[:2]:
         raise ValueError("l must be (R, 2, 2) and y (R, 2)")
     k = _constants(l, y)
-    pts = enumerated.points
-    x1re = pts.real
-    x1im = pts.imag
+    x1re = enumerated.real_axis.levels[:, None]
+    x1im = enumerated.imag_axis.levels[None, :]
     gbar = _enumerated_metric(k, x1re, x1im)
-    dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)[:, None]
     beta = l[:, 1, 1].real
     cre = l[:, 1, 0].real
     cim = l[:, 1, 0].imag
@@ -435,11 +497,12 @@ def hypothesis_minima(l: np.ndarray, y: np.ndarray, enumerated, hypotheses) -> n
         m2b = -2.0 * b
         (_, v_re, _), (_, v_im, _) = _slice_layer(
             c, b * b, 2.0 * b * cre, m2b * cim, m2b * y[:, 1].real, m2b * y[:, 1].imag,
-            np.zeros((len(l), c.bits_per_symbol)), x1re, x1im,
+            None, x1re, x1im,
         )
-        g = gbar + (v_re + v_im)
-        g += dropped
-        out[h] = g.min(axis=1)
+        g = v_re + v_im
+        g += gbar
+        out[h] = g.min(axis=(1, 2))
+    out += np.sum(y.real * y.real + y.imag * y.imag, axis=1)
     return out
 
 

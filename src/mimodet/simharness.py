@@ -169,8 +169,7 @@ class FidelityPoint:
 
 def generate_channel(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0,1) channel entries of any shape, every real part drawn before the imaginary."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
+    re, im = rng.standard_normal((2, *shape))
     return (re + 1j * im) * np.sqrt(0.5)
 
 
@@ -515,9 +514,8 @@ def draw_uncoded_chunk(master_seed, snr_idx, chunk_idx, snr_db, constellations, 
     for i, c in enumerate(constellations):
         x[:, i] = c.points[rng.integers(c.order, size=n_trials)]
     sigma2 = _sigma2(snr_db, n)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((n_trials, n)) + 1j * rng.standard_normal((n_trials, n))
-    )
+    re, im = rng.standard_normal((2, n_trials, n))
+    noise = np.sqrt(sigma2 / 2.0) * (re + 1j * im)
     y_tilde = np.einsum("tij,tj->ti", h_eff, x) + noise
     return h_eff, x, y_tilde
 
@@ -699,9 +697,8 @@ def _draw_mu_chunk(master_seed, bounds, n_tones, des, intf):
         h[j] = generate_channel(rng, (n_tones, 2, 2))
         x1 = des.points[rng.integers(des.order, size=n_tones)] * des.unit_energy_scale
         x2 = intf.points[rng.integers(intf.order, size=n_tones)] * intf.unit_energy_scale
-        base[j] = np.sqrt(0.5) * (
-            rng.standard_normal((n_tones, 2)) + 1j * rng.standard_normal((n_tones, 2))
-        )
+        re, im = rng.standard_normal((2, n_tones, 2))
+        base[j] = np.sqrt(0.5) * (re + 1j * im)
         signal[j] = h[j, :, :, 0] * x1[:, None] + h[j, :, :, 1] * x2[:, None]
     return h, signal, base
 

@@ -253,6 +253,35 @@ def test_zero_prior_slicer_at_and_beside_every_breakpoint(order):
             assert soft_slice(tab, np.nextafter(bp, -np.inf)) != soft_slice(tab, bp)
 
 
+@pytest.mark.parametrize("n_bp", [1, 2, 3, 7, 15])
+def test_locate_equals_a_brute_force_count(n_bp):
+    # the uint8 count against a plain sum, for 1 to 15 breakpoints with +inf
+    # padding, queries at and one ulp beside each breakpoint, signed zeros and NaN
+    rng = RNG(90 + n_bp)
+    t = 6
+    bp = np.sort(rng.normal(0, 5, (t, n_bp)), axis=1)
+    bp[1, -(n_bp + 1) // 2:] = np.inf
+    bp[2, 0] = 0.0
+    bp[3, :] = bp[3, :1]  # a repeated breakpoint counts once per copy
+    u = np.concatenate([
+        bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+        np.broadcast_to([0.0, -0.0, np.nan, np.inf, -np.inf], (t, 5)),
+        rng.normal(0, 8, (t, 7)),
+    ], axis=1)
+
+    def brute(b, q):
+        return np.sum(b[..., None, :] <= q[..., None], axis=-1)
+
+    for b, q in ((bp[:1], u[:1]), (bp, u)):
+        got = _locate(b[:, None, :], q)
+        assert got.shape == q.shape and np.array_equal(got, brute(b, q))
+    # the (T, 1, P) breakpoints against (T, P_re, P_im) queries of a level grid
+    grid = u[:, :12].reshape(t, 3, 4)
+    got = _locate(bp[:, None, None, :], grid)
+    assert got.shape == grid.shape
+    assert np.array_equal(got, brute(bp, grid.reshape(t, 12)).reshape(grid.shape))
+
+
 # axis of each size: BPSK's imaginary axis has one level
 AXES = {1: (2, "imag_axis"), 2: (4, "real_axis"), 4: (16, "real_axis"),
         8: (64, "real_axis"), 16: (256, "real_axis")}

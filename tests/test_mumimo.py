@@ -175,7 +175,7 @@ def test_stacked_window_scores_equal_classify_interferer(monkeypatch):
             assert MU_HYPOTHESIS_ORDERS[np.argmin(scores[:, p, s])] == cls.chosen.order
 
 
-@pytest.mark.parametrize("desired_order", [4, 16, 64, 256])
+@pytest.mark.parametrize("desired_order", [2, 4, 16, 64, 256])
 def test_hypothesis_minima_equal_per_hypothesis_candidate_minima(desired_order, monkeypatch):
     # every row block of the scoring loop: one kernel call gives each
     # hypothesis' row minima of its candidate lists bit for bit, on

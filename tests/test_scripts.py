@@ -144,3 +144,45 @@ def test_bench_pairs_exits_nonzero_when_a_run_fails_its_checks(bad, monkeypatch,
     else:
         assert code == 1 and out.out.count("CHECK FAILED") == 1
         assert "1 of 4 runs failed their checks" in out.err
+
+
+@pytest.mark.parametrize("workload", ["all", "sweep_wld_4x4_16qam,mu_classify_k24"])
+def test_bench_pairs_runs_every_listed_workload_from_one_export(workload, monkeypatch, capsys):
+    import json
+    import shutil
+
+    ns = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    main = ns["main"]
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    names = ([w["name"] for w in spec["workloads"]] if workload == "all"
+             else workload.split(","))
+    exports, calls = [], []
+
+    def export(rev, dest):
+        exports.append(rev)
+        dest.mkdir(parents=True)
+        shutil.copy(SCRIPTS.parent / "BENCHMARK.json", dest)
+
+    def run(root, name, seed, seconds):
+        calls.append((name, root.name, seed))
+        # one run of the last workload fails its checks
+        bad = name == names[-1] and seed == 2 and root.name == "b"
+        return {"correct": not bad, "failed": 0,
+                "metrics": {"trials_per_s": {"value": 100.0 + len(calls)},
+                            "setup_s": {"value": 0.2}, "peak_rss_mib": {"value": 40.0}}}
+
+    monkeypatch.setitem(main.__globals__, "_export", export)
+    monkeypatch.setitem(main.__globals__, "_run", run)
+    code = main(["A", "B", "--workload", workload, "--pairs", "2", "--seconds", "1"])
+    out = capsys.readouterr()
+    assert exports == ["A", "B"]  # each revision exported once
+    assert calls == [(name, side, seed) for name in names
+                     for seed, order in ((1, "ab"), (2, "ba")) for side in order]
+    # every workload gets its own summary, gain and bound lines
+    for name in names:
+        block = out.out.split(f"== {name}\n")[1].split("== ")[0]
+        assert "gain rule" in block and "trials_per_s: B median" in block
+    assert out.out.count("gain rule holds") + out.out.count("gain rule does not hold") \
+        == 3 * len(names)
+    assert code == 1 and out.out.count("CHECK FAILED") == 1
+    assert f"1 of {4 * len(names)} runs failed their checks" in out.err
