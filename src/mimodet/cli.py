@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .constellation import ModScheme, make_constellation
+from .detect import DETECTORS
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mods", default="64,64", help="comma list of orders, one per layer")
     sw.add_argument("--snr", default="10", help="dB grid as start:step:stop or one value")
     sw.add_argument("--trials", type=int, default=1000)
-    sw.add_argument("--detector", choices=("map2", "wld", "oracle"), default="map2")
+    sw.add_argument("--detector", choices=DETECTORS, default="map2")
     sw.add_argument("--distance-mode", choices=("L", "H"), default="L")
     sw.add_argument("--priors", default="zero", help="'zero' or 'random:<sigma>'")
     sw.add_argument("--quant", default=None, help="fixed-point format I.F, e.g. 9.8")
@@ -152,9 +153,8 @@ def _cmd_mumimo(args) -> int:
     snr = _parse_snr_grid(args.snr)
     interferers = _parse_mods(args.interferer)
     for q in interferers:
-        _check_mu_run(snr, args.k, q, args.trials, args.threads,
-                      names=("--snr", "--k", "--interferer", "--trials", "--threads"))
-    make_constellation(args.desired)
+        _check_mu_run(snr, args.k, args.desired, q, args.trials, args.threads,
+                      names=("--snr", "--k", "--desired", "--interferer", "--trials", "--threads"))
     _check_out(args.out)
 
     lines = ["snr_db,k,desired,interferer,trials,correct_rate,seed"]

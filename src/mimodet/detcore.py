@@ -56,6 +56,7 @@ __all__ = [
     "build_slicer_table",
     "soft_slice",
     "CandidateBatch",
+    "symbols_of",
     "detect_one_sided",
     "detect_one_sided_batch",
     "hypothesis_minima",
@@ -155,9 +156,7 @@ def _slicer_tables(axis: PamAxis, quad, offset, lam):
     boundaries are R(p_i, p_k) = quad*(p_i + p_k) - (b(p_i) - b(p_k))'
     lam / (p_i - p_k); the interval form in u-space absorbs the offset
     (G or H), so level i wins exactly on [lo[i], hi[i]), and levels
-    with lo >= hi are dominated by the priors and unreachable.  With
-    zero priors the boundaries reduce to the scaled midpoints of adjacent
-    levels, built as (T, P-1) arrays without the pairwise (T, P, P) one.
+    with lo >= hi are dominated by the priors and unreachable.
 
     Returns (bias, lo, hi, reachable, order, breakpoints), all (T, P)
     except breakpoints (T, P-1).  ``order`` lists the reachable levels
@@ -167,23 +166,12 @@ def _slicer_tables(axis: PamAxis, quad, offset, lam):
     """
     lv = axis.levels
     bias = _bias(axis.bits, lam)
-    if lam.any():
-        # unit diagonal of diff: 0 / 1 there, and the masks below leave it out
-        upper, diff = axis.pairwise
-        neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
-        neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
-        lo = np.max(np.where(upper, neg_r, -np.inf), axis=2)
-        hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2)
-    else:
-        # levels ascend and quad >= 0, so -quad (p_i + p_k) peaks over k > i at
-        # k = i + 1 and bottoms out over k < i at k = i - 1: adjacent midpoints
-        mid = -(quad[:, None] * (lv[:-1] + lv[1:]))
-        lo = np.empty((len(quad), len(lv)))
-        hi = np.empty_like(lo)
-        lo[:, :-1] = mid
-        lo[:, -1] = -np.inf
-        hi[:, 1:] = mid
-        hi[:, 0] = np.inf
+    # unit diagonal of diff: 0 / 1 there, and the masks below leave it out
+    upper, diff = axis.pairwise
+    neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
+    neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
+    lo = np.max(np.where(upper, neg_r, -np.inf), axis=2)
+    hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2)
     lo -= offset[:, None]
     hi -= offset[:, None]
     reachable = lo < hi
@@ -334,15 +322,14 @@ class CandidateBatch(NamedTuple):
     given it, in original layer order.  ``distances`` are absolute:
     ||y - Lx||^2 - b(x)'lam for L-based lists, ||ytilde - Hx||^2 -
     b(x)'lam after rescoring.  ``index`` holds each symbol's index into
-    its layer's constellation points.  ``len()`` of a batch counts its
-    fields; its candidates number ``distances.shape[1]``.
+    its layer's constellation points (see :func:`symbols_of`).  ``len()``
+    of a batch counts its fields; its candidates number ``distances.shape[1]``.
 
     A batch stacked over S sides (decompositions, see
     :func:`detect_one_sided_batch`) holds S T rows, side by side, and
     the sides' layers as a tuple; :meth:`sides` splits it.
     """
 
-    symbols: np.ndarray  # (T, Q, N)
     distances: np.ndarray  # (T, Q)
     prior_bias: np.ndarray  # (T, Q)
     index: np.ndarray  # (T, Q, N)
@@ -353,9 +340,14 @@ class CandidateBatch(NamedTuple):
         """The one-side batches (views of its rows) of a stacked batch."""
         t = len(self.distances) // len(self.layer)
         return [
-            CandidateBatch(*(a[s * t:(s + 1) * t] for a in self[:4]), layer, self.distance_mode)
+            CandidateBatch(*(a[s * t:(s + 1) * t] for a in self[:3]), layer, self.distance_mode)
             for s, layer in enumerate(self.layer)
         ]
+
+
+def symbols_of(index: np.ndarray, constellations) -> np.ndarray:
+    """Symbols (..., N) of point indices (..., N), layer n's from ``constellations[n]``."""
+    return np.stack([c.points[index[..., n]] for n, c in enumerate(constellations)], axis=-1)
 
 
 def _layer_priors(priors, constellations, t):
@@ -420,10 +412,12 @@ def detect_one_sided_batch(
         raise ValueError("l and y must stack the same number of trials per side")
     lam = _position_priors(_layer_priors(priors, constellations, t), cons, perms, t)
     k = _constants(l, y)
+    q = cons[0].order
+    index = np.empty((n_rows, q, n), dtype=np.intp)
 
-    def put(out, i, value):
+    def put(i, value):
         for s, perm in enumerate(perms):
-            out[s * t:(s + 1) * t, :, perm[i]] = value[s * t:(s + 1) * t]
+            index[s * t:(s + 1) * t, :, perm[i]] = value[s * t:(s + 1) * t]
 
     c0 = cons[0]
     pts = c0.points
@@ -433,12 +427,7 @@ def detect_one_sided_batch(
     gbar = _enumerated_metric(k, x1re, x1im)
     gbar -= bias0
     total_bias = bias0.copy()
-
-    q = len(pts)
-    symbols = np.empty((n_rows, q, n), dtype=complex)
-    index = np.empty((n_rows, q, n), dtype=np.intp)
-    put(symbols, 0, np.broadcast_to(pts, (n_rows, q)))
-    put(index, 0, np.broadcast_to(np.arange(q), (n_rows, q)))
+    put(0, np.broadcast_to(np.arange(q), (n_rows, q)))
     for i in range(1, n):
         c = cons[i]
         (k_re, v_re, b_re), (k_im, v_im, b_im) = _slice_layer(
@@ -447,12 +436,11 @@ def detect_one_sided_batch(
         )
         gbar += v_re + v_im
         total_bias += b_re + b_im
-        put(symbols, i, c.real_axis.levels[k_re] + 1j * c.imag_axis.levels[k_im])
-        put(index, i, c.level_grid[k_re, k_im])
+        put(i, c.level_grid[k_re, k_im])
 
     dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)
     return CandidateBatch(
-        symbols, gbar + dropped[:, None], total_bias, index, tuple(p[0] for p in perms), "L",
+        gbar + dropped[:, None], total_bias, index, tuple(p[0] for p in perms), "L",
     )
 
 
@@ -531,25 +519,27 @@ def detect_one_sided(
     return detect_one_sided_batch(d.l[None], y[None], constellations, [d.perm], priors).sides()[0]
 
 
-def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> CandidateBatch:
+def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray,
+                  constellations) -> CandidateBatch:
     """Replace distances with ||ytilde - Hx||^2 - b(x)'lam; h (T, N, N), y_tilde (T, N).
 
     Uses the prior bias recorded at list creation; entry order is preserved.
     """
     h = np.asarray(h, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
-    resid = y_tilde[:, None, :] - cand.symbols @ h.transpose(0, 2, 1)
+    resid = y_tilde[:, None, :] - symbols_of(cand.index, constellations) @ h.transpose(0, 2, 1)
     quad = np.sum(resid.real * resid.real + resid.imag * resid.imag, axis=2)
     return cand._replace(distances=quad - cand.prior_bias, distance_mode="H")
 
 
-def rescore_candidates(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray) -> CandidateBatch:
+def rescore_candidates(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray,
+                       constellations) -> CandidateBatch:
     """Rescore a one-trial batch with the channel metric: the T=1 view of :func:`rescore_batch`.
 
     ``len()`` of a batch counts its fields; its candidates number ``distances.shape[1]``.
     """
     h = np.asarray(h, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
-    if h.shape[1] != cand.symbols.shape[2] or y_tilde.shape != (h.shape[0],):
+    if h.shape[1] != cand.index.shape[2] or y_tilde.shape != (h.shape[0],):
         raise ValueError("channel/observation dimensions do not match the list")
-    return rescore_batch(cand, h[None], y_tilde[None])
+    return rescore_batch(cand, h[None], y_tilde[None], constellations)

@@ -9,7 +9,7 @@ log-likelihood ratios and is left to the caller.
 The work runs on :class:`~mimodet.detcore.CandidateBatch` stacks of T
 trials (``two_sided_batch``, ``combine_batch``); ``llr_two_sided`` and
 ``combine_lists`` are their T=1 views, taking one-trial batches.  Bits
-are looked up through each candidate's constellation index.
+and hard symbols come from each candidate's constellation index.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detcore import CandidateBatch
+from .detcore import CandidateBatch, symbols_of
 from .errors import MinimaMismatchError
 
 __all__ = ["DetectionResult", "llr_two_sided", "combine_lists", "two_sided_batch",
@@ -93,7 +93,7 @@ def _llr(batches, layer: int, constellation) -> np.ndarray:
     return pos - neg
 
 
-def best_candidates(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def best_candidates(batches, constellations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial argmin over the union of candidate batches.
 
     Returns (symbols (T, N), distances (T,), indices (T, N)); ties go to
@@ -103,14 +103,13 @@ def best_candidates(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for cand in batches:
         k = np.argmin(cand.distances, axis=1)
         rows = np.arange(len(k))
-        found = (cand.symbols[rows, k], cand.distances[rows, k], cand.index[rows, k])
+        dist, index = cand.distances[rows, k], cand.index[rows, k]
         if best is None:
-            best = found
+            best = dist, index
             continue
-        upd = found[1] < best[1]
-        best = tuple(np.where(upd if a.ndim == 1 else upd[:, None], a, b)
-                     for a, b in zip(found, best))
-    return best
+        upd = dist < best[0]
+        best = np.where(upd, dist, best[0]), np.where(upd[:, None], index, best[1])
+    return symbols_of(best[1], constellations), best[0], best[1]
 
 
 def two_sided_batch(
@@ -131,7 +130,7 @@ def two_sided_batch(
     """
     if (cand1.layer, cand2.layer) != (0, 1):
         raise ValueError("expected lists enumerating layers 0 and 1")
-    hard, dmin, hard_index = best_candidates([cand1, cand2])
+    hard, dmin, hard_index = best_candidates([cand1, cand2], constellations)
     if min_match_rtol is not None:
         min1, min2 = cand1.distances.min(axis=1), cand2.distances.min(axis=1)
         tol = min_match_rtol * np.maximum(1.0, np.maximum(np.abs(min1), np.abs(min2)))
@@ -162,7 +161,7 @@ def combine_batch(batches, constellations) -> DetectionResult:
         raise ValueError("need exactly one list per layer")
     if len({cand.distance_mode for cand in batches}) != 1:
         raise ValueError("lists mix distance modes")
-    hard, dmin, hard_index = best_candidates(batches)
+    hard, dmin, hard_index = best_candidates(batches, constellations)
     llrs = tuple(_llr(batches, layer, c) for layer, c in enumerate(constellations))
     return DetectionResult(hard, dmin, llrs, hard_index)
 

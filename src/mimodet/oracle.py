@@ -1,7 +1,8 @@
-"""Brute-force reference detectors used as ground truth in tests.
+"""Exact reference detectors used as ground truth in tests and experiments.
 
-These enumerate everything and favor obviousness over speed; every
-optimized path in the package is checked against them.
+The brute-force ones enumerate everything and favor obviousness over
+speed; every optimized path in the package is checked against them.
+:func:`ml_hard_batch` is a radius-pruned ML search that is also exact.
 """
 
 from __future__ import annotations
@@ -9,12 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .constellation import PamAxis
+from .decomp import ql_decompose_batch
+from .detcore import hard_slice, symbols_of
 from .errors import EnumerationBudgetError
 from .llrpost import DetectionResult
 
-__all__ = ["exhaustive_map", "exhaustive_axis_argmin", "ENUM_BUDGET"]
+__all__ = ["exhaustive_map", "exhaustive_axis_argmin", "ml_hard_batch", "ENUM_BUDGET"]
 
 ENUM_BUDGET = 2**24
+_ML_CHUNK = 256  # trials per exact-ML search; caps the frontier's memory
 
 
 def exhaustive_map(m, y, constellations, priors=None) -> DetectionResult:
@@ -83,3 +87,92 @@ def exhaustive_axis_argmin(axis: PamAxis, quad: float, offset: float, u: float, 
     gu = offset + u
     metric = quad * lv * lv + gu * lv - bias
     return float(lv[np.argmin(metric)])
+
+
+def _fix_layer(l, i, tr, d, r, x, radius):
+    """Fix layer i of a stack of search states and prune.
+
+    A state is its trial ``tr``, partial distance ``d`` and residual ``r``
+    (rows i..n-1 of y - Lx over the layers fixed so far); ``x`` holds k
+    candidate symbols per state, (S, k) or (1, k).  Each child adds
+    |r_i - l_ii x|^2 in real arithmetic and is dropped when that exceeds
+    ``radius[tr]``; survivors subtract L[i+1:, i] x from their remaining
+    rows.  Returns (parent, candidate, d, r) of the survivors in C order
+    of (state, candidate).
+    """
+    e = r[:, :1] - l[tr, i, i].real[:, None] * x
+    d = d[:, None] + (e.real * e.real + e.imag * e.imag)
+    # not "d <= radius": NaN states (non-finite inputs; singular channels raise
+    # before the search) survive, so every trial keeps a row of output
+    s, k = np.nonzero(~(d > radius[tr][:, None]))
+    xs = np.broadcast_to(x, d.shape)[s, k]
+    return s, k, d[s, k], r[s, 1:] - l[tr[s], i + 1:, i] * xs[:, None]
+
+
+def _nearest_column(l, i, tr, r, c):
+    """Nearest symbol of layer i for each state, as an (S, 1) column."""
+    beta = l[tr, i, i].real[:, None]
+    z = r[:, :1]
+    return hard_slice(c.real_axis, z.real, beta) + 1j * hard_slice(c.imag_axis, z.imag, beta)
+
+
+def _ml_search(l, yt, constellations):
+    """Exact ML hard decisions for lower-triangular L and y~ (see ml_hard_batch)."""
+    t, n = yt.shape
+    every = np.arange(t)
+    radius = np.full(t, np.inf)
+    d, r = np.zeros(t), yt
+    for i, c in enumerate(constellations):  # SIC (Babai) point
+        _, _, d, r = _fix_layer(l, i, every, d, r, _nearest_column(l, i, every, r, c), radius)
+    radius = d
+    tr, d, r, prefix = every, np.zeros(t), yt, np.zeros(t, dtype=np.int64)
+    for i, c in enumerate(constellations[:-1]):
+        s, k, d, r = _fix_layer(l, i, tr, d, r, c.points[None, :], radius)
+        tr, prefix = tr[s], prefix[s] * c.order + k
+    x_last = _nearest_column(l, n - 1, tr, r, constellations[-1])
+    s, _, d, _ = _fix_layer(l, n - 1, tr, d, r, x_last, radius)
+    tr, prefix, x_last = tr[s], prefix[s], x_last[s, 0]
+    # survivors are in (trial, prefix) order and lexsort is stable, so the
+    # first row of each trial is its lowest-prefix minimizer
+    order = np.lexsort((d, tr))
+    win = order[np.r_[True, np.diff(tr[order]) != 0]]
+    out = np.empty((t, n), dtype=complex)
+    heads = np.unravel_index(prefix[win], [c.order for c in constellations[:-1]])
+    out[tr[win], :-1] = symbols_of(np.stack(heads, axis=-1), constellations[:-1])
+    out[tr[win], n - 1] = x_last[win]
+    return out
+
+
+def ml_hard_batch(h_eff, y_tilde, constellations) -> np.ndarray:
+    """Exact zero-prior ML hard decisions over stacked trials.
+
+    With H = Q L (L lower triangular, real positive diagonal) the metric
+    ||y - Hx||^2 is ||Q^H y - Lx||^2, and row i of L x depends on layers
+    0..i only, so the metric is a sum of per-row partial distances.  A
+    breadth-first search fixes layers 0..n-2 one at a time over every
+    symbol and slices the last layer, which realizes the minimum over it
+    when priors are zero.
+
+    The search is pruned at a per-trial radius: the metric of the SIC
+    (Babai) point, which slices every layer in turn.  That point is
+    feasible, so its metric bounds the ML metric; it is computed with
+    the same row step as the search, so its partial sums are the
+    search's own, bit for bit.  A partial distance never decreases as
+    layers are added, so dropping a state only when its distance is
+    greater than the radius keeps every minimizer, ties included.
+    Ties go to the lowest enumeration index of the first n-1 layers
+    (layer 0 most significant), then, on the sliced last layer, to the
+    upper level of an exact midpoint.  Trials are searched 256 at a
+    time, which only caps the memory of the search frontier.  Raises
+    SingularChannelError when any channel is rank deficient.
+    """
+    h_eff = np.asarray(h_eff, dtype=complex)
+    y_tilde = np.asarray(y_tilde, dtype=complex)
+    t, n, _ = h_eff.shape
+    q, l = ql_decompose_batch(h_eff)
+    yt = np.einsum("tji,tj->ti", q.conj(), y_tilde)
+    out = np.empty((t, n), dtype=complex)
+    for lo in range(0, t, _ML_CHUNK):
+        hi = lo + _ML_CHUNK
+        out[lo:hi] = _ml_search(l[lo:hi], yt[lo:hi], constellations)
+    return out

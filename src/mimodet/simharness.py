@@ -1,4 +1,4 @@
-"""Monte-Carlo simulation engine: sweeps, LLR fidelity, batch experiments.
+"""Monte-Carlo drivers over :mod:`mimodet.detect`: sweeps, LLR fidelity, batch experiments.
 
 Conventions used by every experiment here:
 
@@ -18,11 +18,6 @@ Conventions used by every experiment here:
   (:func:`detect_batch`) detects consecutive chunks, across SNR points,
   while its trial count times the largest constellation order stays
   within 4096; a trial's result does not depend on the call it ran in.
-- A batched detection stacks its sides (one per detection layer's
-  decomposition) whose layers carry the same constellations in
-  decomposition order, and runs each stage once per stack of at most
-  4096 cells (rows x enumerated order); a side's candidates do not
-  depend on the stack it ran in.
 - Per-trial draw order: channel, symbol indices (layer by layer),
   noise, priors.
 - Output LLRs keep the unscaled-distance convention of
@@ -37,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import make_constellation
-from .decomp import punctured_decompose_batch, ql_decompose_batch, transform_observation_batch
-from .detcore import BATCH_CELLS, _layer_priors, detect_one_sided_batch, hard_slice, rescore_batch
+from .constellation import ModScheme, make_constellation
+# bench/workloads.py calls each detector as simharness.<name>; bench/tracing.py looks it up there
+from .detect import _check_detector, detect_batch, detect_instance, wld_hard_batch
+from .detcore import BATCH_CELLS, symbols_of
 from .errors import ConfigError, ShadowOracleMismatch
-from .hwmodel import FixedPointFormat, quantize
-from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
+from .hwmodel import FixedPointFormat
 from .mumimo import MU_HYPOTHESIS_ORDERS, window_scores
-from .oracle import ENUM_BUDGET, exhaustive_map
+from .oracle import ENUM_BUDGET, ml_hard_batch
 from .rng import CONTEXT_BATCH, CONTEXT_MUMIMO, CONTEXT_SWEEP, trial_rng, trial_streams
 
 __all__ = [
@@ -52,22 +47,15 @@ __all__ = [
     "TrialStats",
     "FidelityPoint",
     "generate_channel",
-    "detect_batch",
-    "detect_instance",
     "run_sweep",
     "llr_fidelity",
     "write_csv",
     "draw_uncoded_chunk",
-    "ml_hard_batch",
-    "wld_hard_batch",
     "uncoded_ver_point",
     "mu_classification_rates",
 ]
 
-_DETECTORS = ("map2", "wld", "oracle")
 _SWEEP_CHUNK = 64  # trials per sweep draw and reduction; fixes the float sum order
-_ML_CHUNK = 256  # trials per exact-ML search; caps the frontier's memory
-_WLD_CHUNK = 2048  # trials per wld detection call; caps the candidate lists' memory
 _VER_CHUNK = 2048  # trials per counter-based stream of a batched VER point
 # relative tolerance of the shadow oracle's LLR and minimum-distance checks
 _SHADOW_RTOL = 1e-6
@@ -77,18 +65,6 @@ _CSV_COLUMNS = (
     "snr_db", "trials", "ser", "ber", "llr_mae", "llr_max",
     "detector", "distance_mode", "n_layers", "mods", "seed",
 )
-
-
-def _check_detector(detector, distance_mode, n_layers):
-    """Reject a detector and distance mode that cannot run on n_layers layers."""
-    if detector not in _DETECTORS:
-        raise ConfigError(f"unknown detector {detector!r}")
-    if detector == "map2" and n_layers != 2:
-        raise ConfigError("detector=map2 requires 2 layers")
-    if distance_mode not in ("L", "H"):
-        raise ConfigError("distance_mode must be L or H")
-    if distance_mode == "H" and detector != "wld":
-        raise ConfigError("distance_mode=H applies to detector=wld only")
 
 
 @dataclass(frozen=True)
@@ -173,122 +149,6 @@ def generate_channel(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) * np.sqrt(0.5)
 
 
-def _side_calls(constellations, sides, t):
-    """Group detection layers (sides) 0..sides-1 of T trials into stacked kernel calls.
-
-    Sides whose layers carry the same constellations in decomposition
-    order share calls; a call holds at most ``BATCH_CELLS`` cells (rows x
-    enumerated order), and at least one side.
-    """
-    n = len(constellations)
-    groups = {}
-    for m in range(sides):
-        orders = tuple(constellations[(m + i) % n].order for i in range(n))
-        groups.setdefault(orders, []).append(m)
-    calls = []
-    for orders, group in groups.items():
-        per_call = max(1, BATCH_CELLS // max(1, t * orders[0]))
-        calls += [group[j:j + per_call] for j in range(0, len(group), per_call)]
-    return calls
-
-
-def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, quant):
-    """One candidate batch per detection layer 0..sides-1 for stacked trials.
-
-    Each call of :func:`_side_calls` runs one decomposition, transform,
-    one-sided detection, rescoring and quantization on its sides stacked
-    side by side.  Quantization, if requested, applies to the detector
-    inputs (triangular factors, transformed observations, priors, and
-    the rescoring channel) and to the candidate distances.
-    """
-    def q(v):
-        return quantize(v, quant) if quant is not None else v
-
-    if priors is not None:
-        priors = [q(np.asarray(lam, dtype=float)) for lam in priors]
-    if rescore:
-        h_q, y_q = q(h_eff), q(y_tilde)
-    n = len(constellations)
-    batches = [None] * sides
-    for call in _side_calls(constellations, sides, len(h_eff)):
-        w, l = punctured_decompose_batch(h_eff, call)
-        yt = transform_observation_batch(w, np.concatenate([y_tilde] * len(call)))
-        perms = [tuple((m + i) % n for i in range(n)) for m in call]
-        cand = detect_one_sided_batch(q(l), q(yt), constellations, perms, priors)
-        if rescore:
-            cand = rescore_batch(cand, np.concatenate([h_q] * len(call)),
-                                 np.concatenate([y_q] * len(call)))
-        if quant is not None:
-            cand = cand._replace(distances=quantize(cand.distances, quant))
-        for m, side in zip(call, cand.sides()):
-            batches[m] = side
-    return batches
-
-
-def detect_batch(
-    h_eff: np.ndarray,
-    y_tilde: np.ndarray,
-    constellations,
-    priors=None,
-    detector: str = "map2",
-    distance_mode: str = "L",
-    quant: FixedPointFormat | None = None,
-) -> DetectionResult:
-    """Run one detector on T stacked channel instances.
-
-    ``h_eff`` (T, N, N) already carries the unit-energy scaling,
-    ``y_tilde`` is (T, N), ``priors`` None or one (T, q_n) array per
-    layer (a wrong entry raises ValueError naming its layer, whatever the
-    detector); a detector and distance mode that :meth:`SimConfig.validate`
-    rejects raise ConfigError.  Quantization, if requested, applies to the
-    detector inputs and the candidate distances (see :func:`_candidate_batches`);
-    the oracle detector ignores it and runs trial by trial.  Returns the
-    fields of :class:`DetectionResult` with a leading trial axis.
-    """
-    _check_detector(detector, distance_mode, len(constellations))
-    h_eff = np.asarray(h_eff, dtype=complex)
-    y_tilde = np.asarray(y_tilde, dtype=complex)
-    priors = _layer_priors(priors, constellations, len(h_eff))
-    if detector == "oracle":
-        res = [exhaustive_map(h_eff[t], y_tilde[t], constellations,
-                              None if priors is None else [lam[t] for lam in priors])
-               for t in range(len(h_eff))]
-        return DetectionResult(
-            np.stack([r.hard for r in res]), np.array([r.dmin for r in res]),
-            tuple(map(np.stack, zip(*(r.llr for r in res)))),
-            np.stack([r.hard_index for r in res]),
-        )
-    sides = 2 if detector == "map2" else len(constellations)
-    batches = _candidate_batches(
-        h_eff, y_tilde, constellations, priors, sides,
-        detector == "wld" and distance_mode == "H", quant,
-    )
-    if detector == "map2":
-        # quantization perturbs the two sides differently, so the
-        # minima-consistency check only applies to the float path
-        rtol = None if quant is not None else 1e-9
-        return two_sided_batch(batches[0], batches[1], constellations, min_match_rtol=rtol)
-    return combine_batch(batches, constellations)
-
-
-def detect_instance(
-    h_eff: np.ndarray,
-    y_tilde: np.ndarray,
-    constellations,
-    priors=None,
-    detector: str = "map2",
-    distance_mode: str = "L",
-    quant: FixedPointFormat | None = None,
-) -> DetectionResult:
-    """Run one detector on one channel instance: the T=1 view of :func:`detect_batch`."""
-    if priors is not None:
-        priors = [np.asarray(lam, dtype=float)[None] for lam in priors]
-    return detect_batch(
-        np.asarray(h_eff, dtype=complex)[None], np.asarray(y_tilde, dtype=complex)[None],
-        constellations, priors, detector, distance_mode, quant,
-    ).row(0)
-
-
 def _sigma2(snr_db: float, n_layers: int) -> float:
     return n_layers / 10.0 ** (snr_db / 10.0)
 
@@ -330,7 +190,7 @@ def _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
         if draw_priors:
             lam[j] = rng.normal(0.0, cfg.priors_sigma, lam.shape[1])
     h_eff = h * scales[None, None, :]
-    x = np.stack([c.points[tx[:, i]] for i, c in enumerate(cons)], axis=1)
+    x = symbols_of(tx, cons)
     sigma2 = _sigma2(snr_db, n)
     y = (h_eff @ x[:, :, None])[:, :, 0] + np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
     priors = np.split(lam, np.cumsum(q)[:-1], axis=1) if draw_priors else None
@@ -510,123 +370,13 @@ def draw_uncoded_chunk(master_seed, snr_idx, chunk_idx, snr_db, constellations, 
     n = len(constellations)
     scales = np.array([c.unit_energy_scale for c in constellations])
     h_eff = generate_channel(rng, (n_trials, n, n)) * scales[None, None, :]
-    x = np.empty((n_trials, n), dtype=complex)
-    for i, c in enumerate(constellations):
-        x[:, i] = c.points[rng.integers(c.order, size=n_trials)]
+    tx = np.stack([rng.integers(c.order, size=n_trials) for c in constellations], axis=-1)
+    x = symbols_of(tx, constellations)
     sigma2 = _sigma2(snr_db, n)
     re, im = rng.standard_normal((2, n_trials, n))
     noise = np.sqrt(sigma2 / 2.0) * (re + 1j * im)
     y_tilde = np.einsum("tij,tj->ti", h_eff, x) + noise
     return h_eff, x, y_tilde
-
-
-def _fix_layer(l, i, tr, d, r, x, radius):
-    """Fix layer i of a stack of search states and prune.
-
-    A state is its trial ``tr``, partial distance ``d`` and residual ``r``
-    (rows i..n-1 of y - Lx over the layers fixed so far); ``x`` holds k
-    candidate symbols per state, (S, k) or (1, k).  Each child adds
-    |r_i - l_ii x|^2 in real arithmetic and is dropped when that exceeds
-    ``radius[tr]``; survivors subtract L[i+1:, i] x from their remaining
-    rows.  Returns (parent, candidate, d, r) of the survivors in C order
-    of (state, candidate).
-    """
-    e = r[:, :1] - l[tr, i, i].real[:, None] * x
-    d = d[:, None] + (e.real * e.real + e.imag * e.imag)
-    # not "d <= radius": NaN states (non-finite inputs; singular channels raise
-    # before the search) survive, so every trial keeps a row of output
-    s, k = np.nonzero(~(d > radius[tr][:, None]))
-    xs = np.broadcast_to(x, d.shape)[s, k]
-    return s, k, d[s, k], r[s, 1:] - l[tr[s], i + 1:, i] * xs[:, None]
-
-
-def _slice_layer(l, i, tr, r, c):
-    """Nearest symbol of layer i for each state, as an (S, 1) column."""
-    beta = l[tr, i, i].real[:, None]
-    z = r[:, :1]
-    return hard_slice(c.real_axis, z.real, beta) + 1j * hard_slice(c.imag_axis, z.imag, beta)
-
-
-def _ml_search(l, yt, constellations):
-    """Exact ML hard decisions for lower-triangular L and y~ (see ml_hard_batch)."""
-    t, n = yt.shape
-    every = np.arange(t)
-    radius = np.full(t, np.inf)
-    d, r = np.zeros(t), yt
-    for i, c in enumerate(constellations):  # SIC (Babai) point
-        _, _, d, r = _fix_layer(l, i, every, d, r, _slice_layer(l, i, every, r, c), radius)
-    radius = d
-    tr, d, r, prefix = every, np.zeros(t), yt, np.zeros(t, dtype=np.int64)
-    for i, c in enumerate(constellations[:-1]):
-        s, k, d, r = _fix_layer(l, i, tr, d, r, c.points[None, :], radius)
-        tr, prefix = tr[s], prefix[s] * c.order + k
-    x_last = _slice_layer(l, n - 1, tr, r, constellations[-1])
-    s, _, d, _ = _fix_layer(l, n - 1, tr, d, r, x_last, radius)
-    tr, prefix, x_last = tr[s], prefix[s], x_last[s, 0]
-    # survivors are in (trial, prefix) order and lexsort is stable, so the
-    # first row of each trial is its lowest-prefix minimizer
-    order = np.lexsort((d, tr))
-    win = order[np.r_[True, np.diff(tr[order]) != 0]]
-    out = np.empty((t, n), dtype=complex)
-    heads = np.unravel_index(prefix[win], [c.order for c in constellations[:-1]])
-    for j, idx in enumerate(heads):
-        out[tr[win], j] = constellations[j].points[idx]
-    out[tr[win], n - 1] = x_last[win]
-    return out
-
-
-def ml_hard_batch(h_eff, y_tilde, constellations) -> np.ndarray:
-    """Exact zero-prior ML hard decisions over stacked trials.
-
-    With H = Q L (L lower triangular, real positive diagonal) the metric
-    ||y - Hx||^2 is ||Q^H y - Lx||^2, and row i of L x depends on layers
-    0..i only, so the metric is a sum of per-row partial distances.  A
-    breadth-first search fixes layers 0..n-2 one at a time over every
-    symbol and slices the last layer, which realizes the minimum over it
-    when priors are zero.
-
-    The search is pruned at a per-trial radius: the metric of the SIC
-    (Babai) point, which slices every layer in turn.  That point is
-    feasible, so its metric bounds the ML metric; it is computed with
-    the same row step as the search, so its partial sums are the
-    search's own, bit for bit.  A partial distance never decreases as
-    layers are added, so dropping a state only when its distance is
-    greater than the radius keeps every minimizer, ties included.
-    Ties go to the lowest enumeration index of the first n-1 layers
-    (layer 0 most significant), then, on the sliced last layer, to the
-    upper level of an exact midpoint.  Trials are searched 256 at a
-    time, which only caps the memory of the search frontier.  Raises
-    SingularChannelError when any channel is rank deficient.
-    """
-    h_eff = np.asarray(h_eff, dtype=complex)
-    y_tilde = np.asarray(y_tilde, dtype=complex)
-    t, n, _ = h_eff.shape
-    q, l = ql_decompose_batch(h_eff)
-    yt = np.einsum("tji,tj->ti", q.conj(), y_tilde)
-    out = np.empty((t, n), dtype=complex)
-    for lo, hi in _chunks(t, _ML_CHUNK):
-        out[lo:hi] = _ml_search(l[lo:hi], yt[lo:hi], constellations)
-    return out
-
-
-def wld_hard_batch(h_eff, y_tilde, constellations) -> np.ndarray:
-    """Hard decisions from channel-metric-rescored candidate lists.
-
-    One punctured decomposition per layer, candidates rescored with the
-    exact channel metric, overall argmin across the union (earlier
-    detection layers win ties).  Trials are detected 2048 at a time,
-    which only caps the memory of the candidate lists.
-    """
-    h_eff = np.asarray(h_eff, dtype=complex)
-    y_tilde = np.asarray(y_tilde, dtype=complex)
-    t, n, _ = h_eff.shape
-    out = np.empty((t, n), dtype=complex)
-    for lo, hi in _chunks(t, _WLD_CHUNK):
-        batches = _candidate_batches(
-            h_eff[lo:hi], y_tilde[lo:hi], constellations, None, n, True, None
-        )
-        out[lo:hi] = best_candidates(batches)[0]
-    return out
 
 
 def _check_run(snr_name, snr_db, **counts):
@@ -639,13 +389,16 @@ def _check_run(snr_name, snr_db, **counts):
             raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
-def _check_mu_run(snr_db_grid, n_tones, interferer_order, scenarios, threads,
-                  names=("snr_db_grid", "n_tones", "interferer_order", "scenarios", "threads")):
+def _check_mu_run(snr_db_grid, n_tones, desired_order, interferer_order, scenarios, threads,
+                  names=("snr_db_grid", "n_tones", "desired_order", "interferer_order",
+                         "scenarios", "threads")):
     """Reject bad arguments of :func:`mu_classification_rates`, named by ``names`` in order."""
-    snr, tones, order, count, workers = names
+    snr, tones, des, order, count, workers = names
     _check_run(snr, snr_db_grid, **{tones: n_tones, count: scenarios, workers: threads})
-    if interferer_order not in MU_HYPOTHESIS_ORDERS:
-        raise ValueError(f"{order} must be one of {MU_HYPOTHESIS_ORDERS}, got {interferer_order!r}")
+    for name, value, allowed in ((des, desired_order, tuple(s.order for s in ModScheme)),
+                                 (order, interferer_order, MU_HYPOTHESIS_ORDERS)):
+        if value not in allowed:
+            raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def uncoded_ver_point(
@@ -721,7 +474,7 @@ def mu_classification_rates(
     its channels are factored once, and a few batched calls score all of
     the chunk's tones under every hypothesis.
     """
-    _check_mu_run(snr_db_grid, n_tones, interferer_order, scenarios, threads)
+    _check_mu_run(snr_db_grid, n_tones, desired_order, interferer_order, scenarios, threads)
     des = make_constellation(desired_order)
     intf = make_constellation(interferer_order)
     sigma2 = np.array([_sigma2(snr_db, 2) for snr_db in snr_db_grid])

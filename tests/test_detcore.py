@@ -24,6 +24,7 @@ from mimodet.detcore import (
     _slice_axis,
     _slicer_tables,
     detect_one_sided_batch,
+    symbols_of,
 )
 
 RNG = np.random.default_rng
@@ -333,8 +334,9 @@ def test_detect_bpsk_hand_case():
     d = eye_decomp(np.array([[1, 0], [1, 1]]))
     cl = detect_one_sided(d, np.array([1, 2], dtype=complex), cons)
     assert cl.distances[0].tolist() == [0.0, 8.0]
-    assert cl.symbols[0, :, 0].tolist() == [1, -1]
-    assert cl.symbols[0, :, 1].tolist() == [1, 1]
+    sym = symbols_of(cl.index, cons)
+    assert sym[0, :, 0].tolist() == [1, -1]
+    assert sym[0, :, 1].tolist() == [1, 1]
 
 
 def test_detect_zero_noise_transmitted_attains_minimum():
@@ -347,8 +349,9 @@ def test_detect_zero_noise_transmitted_attains_minimum():
             d = punctured_decompose(h, m)
             y = transform_observation(d, h @ x)
             cl = detect_one_sided(d, y, cons)
-            i = np.flatnonzero(cl.symbols[0, :, m] == x[m])[0]
-            assert np.allclose(cl.symbols[0, i], x)
+            sym = symbols_of(cl.index, cons)
+            i = np.flatnonzero(sym[0, :, m] == x[m])[0]
+            assert np.allclose(sym[0, i], x)
             assert abs(cl.distances[0, i]) <= 1e-9 * max(1.0, np.sum(np.abs(y) ** 2))
             assert cl.distances.min() >= cl.distances[0, i] - 1e-9
 
@@ -367,7 +370,7 @@ def test_detect_matches_per_entry_bruteforce_with_priors():
         bias1 = cons[0].point_bits @ priors[0]
         bias2 = cons[1].point_bits @ priors[1]
         for i in (0, 17, 40, 63):
-            x1 = cl.symbols[0, i, 0]
+            x1 = symbols_of(cl.index, cons)[0, i, 0]
             vals = (
                 np.abs(y[0] - d.l[0, 0] * x1) ** 2
                 - bias1[i]
@@ -389,7 +392,8 @@ def test_detect_mode_equivalence_bit_exact():
         y = transform_observation(d, yt)
         cl = detect_one_sided(d, y, cons, priors)
         k = _constants(d.l[None], y[None])
-        x1 = cl.symbols[0, :, d.layer]
+        sym = symbols_of(cl.index, cons)
+        x1 = sym[0, :, d.layer]
         for i in range(1, 3):
             layer = d.perm[i]
             c = cons[layer]
@@ -403,8 +407,8 @@ def test_detect_mode_equivalence_bit_exact():
                 want_im = exhaustive_axis_argmin(
                     c.imag_axis, k.slice_quad[0, i - 1], k.slice_lin_im[0, i - 1], u_im[q], lam_im
                 )
-                assert cl.symbols[0, q, layer] == complex(want_re, want_im)
-                assert cl.index[0, q, layer] == c.point_indices(cl.symbols[0, q, layer])
+                assert sym[0, q, layer] == complex(want_re, want_im)
+                assert cl.index[0, q, layer] == c.point_indices(sym[0, q, layer])
 
 
 @settings(max_examples=30, deadline=None)
@@ -419,7 +423,7 @@ def test_detect_scaling_invariance(seed, scale):
     base = detect_one_sided(d, y, cons)
     scaled_d = PuncturedDecomposition(w=d.w, l=d.l * scale, layer=d.layer, perm=d.perm)
     scaled = detect_one_sided(scaled_d, y * scale, cons)
-    assert np.array_equal(base.symbols, scaled.symbols)
+    assert np.array_equal(base.index, scaled.index)
     assert np.allclose(scaled.distances, scale * scale * base.distances, rtol=1e-12)
     assert np.argmin(scaled.distances) == np.argmin(base.distances)
 
@@ -434,7 +438,7 @@ def test_detect_relative_form_bookkeeping():
     y = transform_observation(d, yt)
     cl = detect_one_sided(d, y, cons)
     direct = np.array([
-        np.sum(np.abs(y - d.l @ x) ** 2) for x in cl.symbols[0]
+        np.sum(np.abs(y - d.l @ x) ** 2) for x in symbols_of(cl.index, cons)[0]
     ])
     assert np.allclose(cl.distances[0], direct, rtol=1e-9)
 
@@ -459,12 +463,12 @@ def test_batch_kernel_bit_exact_vs_scalar():
         ys.append(transform_observation(d, crandn(rng, 4)))
     l = np.stack(ls)
     y = np.stack(ys)
-    sym, dist = detect_one_sided_batch(l, y, cons, [(1, 2, 3, 0)])[:2]
+    batch = detect_one_sided_batch(l, y, cons, [(1, 2, 3, 0)])
     for t in range(20):
         d = PuncturedDecomposition(w=np.eye(4, dtype=complex), l=l[t], layer=1, perm=(1, 2, 3, 0))
         cl = detect_one_sided(d, y[t], cons)
-        assert np.array_equal(cl.symbols[0], sym[t])
-        assert np.array_equal(cl.distances[0], dist[t])
+        assert np.array_equal(cl.index[0], batch.index[t])
+        assert np.array_equal(cl.distances[0], batch.distances[t])
 
 
 def test_stacked_sides_need_the_same_constellations_in_order():
@@ -502,7 +506,7 @@ def test_rescore_two_layer_preserves_everything():
         priors = [rng.normal(0, 2, 4), rng.normal(0, 2, 4)]
         d = punctured_decompose(h, 0)
         cl = detect_one_sided(d, transform_observation(d, yt), cons, priors)
-        rs = rescore_candidates(cl, h, yt)
+        rs = rescore_candidates(cl, h, yt, cons)
         # unitary case: channel metric equals the factored metric exactly
         assert np.allclose(rs.distances, cl.distances, rtol=1e-9, atol=1e-9)
         assert np.argmin(rs.distances) == np.argmin(cl.distances)
@@ -517,8 +521,8 @@ def test_rescore_zero_noise_hits_zero():
     yt = h @ x
     d = punctured_decompose(h, 0)
     cl = detect_one_sided(d, transform_observation(d, yt), cons)
-    rs = rescore_candidates(cl, h, yt)
-    i = np.flatnonzero(cl.symbols[0, :, 0] == x[0])[0]
+    rs = rescore_candidates(cl, h, yt, cons)
+    i = np.flatnonzero(symbols_of(cl.index, cons)[0, :, 0] == x[0])[0]
     assert abs(rs.distances[0, i]) <= 1e-9 * np.sum(np.abs(yt) ** 2)
 
 
@@ -530,9 +534,9 @@ def test_rescore_matches_direct_channel_metric():
     priors = [rng.normal(0, 1.5, c.bits_per_symbol) for c in cons]
     d = punctured_decompose(h, 2)
     cl = detect_one_sided(d, transform_observation(d, yt), cons, priors)
-    rs = rescore_candidates(cl, h, yt)
+    rs = rescore_candidates(cl, h, yt, cons)
     for i in (0, 5, 11, 15):
-        x = cl.symbols[0, i]
+        x = symbols_of(cl.index, cons)[0, i]
         bias = sum(
             float(c.bits_of_points(x[j]) @ priors[j]) for j, c in enumerate(cons)
         )

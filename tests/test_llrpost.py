@@ -12,7 +12,7 @@ from mimodet import (
     rescore_candidates,
     transform_observation,
 )
-from mimodet.detcore import CandidateBatch
+from mimodet.detcore import CandidateBatch, symbols_of
 from mimodet.llrpost import _own_layer_minima, best_candidates, partition_minima
 
 
@@ -32,7 +32,7 @@ def manual_list(symbols, distances, layer=0):
     """A hand-built one-trial batch of BPSK symbol vectors."""
     symbols = np.asarray(symbols, dtype=complex)
     return CandidateBatch(
-        layer=layer, symbols=symbols[None], distances=np.asarray(distances, dtype=float)[None],
+        layer=layer, distances=np.asarray(distances, dtype=float)[None],
         prior_bias=np.zeros((1, len(distances))), distance_mode="L",
         index=make_constellation(2).point_indices(symbols)[None],
     )
@@ -40,7 +40,7 @@ def manual_list(symbols, distances, layer=0):
 
 def best_entry(*lists):
     """(symbols, distance, indices) of the best entry over the lists, for one trial."""
-    x, d, idx = best_candidates(lists)
+    x, d, idx = best_candidates(lists, (make_constellation(2),) * lists[0].index.shape[2])
     return x[0], d[0], idx[0]
 
 
@@ -147,8 +147,8 @@ def test_combine_identical_lists_matches_single_extraction():
     yt = crandn(rng, 2)
     lists = two_sided_lists(h, yt, cons)
     # H-rescore so both lists carry the same metric on the same entries
-    r0 = rescore_candidates(lists[0], h, yt)
-    r1 = rescore_candidates(lists[1], h, yt)
+    r0 = rescore_candidates(lists[0], h, yt, cons)
+    r1 = rescore_candidates(lists[1], h, yt, cons)
     combined = combine_lists([r0, r1], cons)
     single = llr_two_sided(r0, r1, cons)
     assert np.array_equal(np.concatenate(combined.llr), np.concatenate(single.llr))
@@ -164,10 +164,10 @@ def test_combine_wl_minimal_against_union_reimplementation():
         for m in range(4):
             d = punctured_decompose(h, m)
             cl = detect_one_sided(d, transform_observation(d, yt), cons)
-            lists.append(rescore_candidates(cl, h, yt))
+            lists.append(rescore_candidates(cl, h, yt, cons))
         res = combine_lists(lists, cons)
         # independent reimplementation: materialize the union and partition
-        all_sym = np.concatenate([cl.symbols[0] for cl in lists])
+        all_sym = np.concatenate([symbols_of(cl.index, cons)[0] for cl in lists])
         all_d = np.concatenate([cl.distances[0] for cl in lists])
         k = np.argmin(all_d)
         assert res.dmin == all_d[k]
@@ -189,7 +189,7 @@ def test_combine_monotonicity_and_realized_differences():
     for m in range(3):
         d = punctured_decompose(h, m)
         cl = detect_one_sided(d, transform_observation(d, yt), cons)
-        lists.append(rescore_candidates(cl, h, yt))
+        lists.append(rescore_candidates(cl, h, yt, cons))
     res = combine_lists(lists, cons)
     assert all(res.dmin <= cl.distances.min() + 1e-12 for cl in lists)
     realized = np.concatenate([cl.distances[0] for cl in lists])
@@ -208,7 +208,7 @@ def test_combine_sign_points_to_hard_decision():
     for m in range(4):
         d = punctured_decompose(h, m)
         cl = detect_one_sided(d, transform_observation(d, yt), cons)
-        lists.append(rescore_candidates(cl, h, yt))
+        lists.append(rescore_candidates(cl, h, yt, cons))
     res = combine_lists(lists, cons)
     for n, c in enumerate(cons):
         bits = c.bits_of_points(res.hard[n])
@@ -249,8 +249,8 @@ def test_llr_of_a_reordered_own_layer_list():
     order = rng.permutation(16)
     cl = lists[0]
     shuffled = cl._replace(
-        symbols=cl.symbols[:, order], distances=cl.distances[:, order],
-        prior_bias=cl.prior_bias[:, order], index=cl.index[:, order],
+        distances=cl.distances[:, order], prior_bias=cl.prior_bias[:, order],
+        index=cl.index[:, order],
     )
     want = llr_two_sided(cl, lists[1], cons)
     got = llr_two_sided(shuffled, lists[1], cons)

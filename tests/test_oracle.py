@@ -73,7 +73,7 @@ def test_lower_bound_vs_candidate_lists():
         for m in range(4):
             d = punctured_decompose(h, m)
             cl = detect_one_sided(d, transform_observation(d, yt), cons)
-            rs = rescore_candidates(cl, h, yt)
+            rs = rescore_candidates(cl, h, yt, cons)
             assert res.dmin <= rs.distances.min() + 1e-9
 
 

@@ -21,18 +21,15 @@ from mimodet.simharness import (
     SimConfig,
     _draw_sweep_chunk,
     _sigma2,
-    detect_batch,
-    detect_instance,
     draw_uncoded_chunk,
     generate_channel,
     llr_fidelity,
-    ml_hard_batch,
     mu_classification_rates,
     run_sweep,
     uncoded_ver_point,
-    wld_hard_batch,
 )
-from mimodet.oracle import exhaustive_map
+from mimodet.detect import detect_batch, detect_instance, wld_hard_batch
+from mimodet.oracle import exhaustive_map, ml_hard_batch
 from mimodet.llrpost import combine_lists
 from mimodet.detcore import (
     detect_one_sided,
@@ -244,7 +241,7 @@ def test_batch_detectors_match_library_path():
         for m in range(4):
             d = punctured_decompose(h[t], m)
             cl = detect_one_sided(d, transform_observation(d, y[t]), cons)
-            lists.append(rescore_candidates(cl, h[t], y[t]))
+            lists.append(rescore_candidates(cl, h[t], y[t], cons))
         res = combine_lists(lists, cons)
         assert np.array_equal(res.hard, hard_wld[t])
         ora = exhaustive_map(h[t], y[t], cons)
@@ -325,6 +322,7 @@ _MU_ARGS = dict(master_seed=0, n_tones=4, desired_order=16, interferer_order=16,
     (mu_classification_rates, _MU_ARGS, dict(snr_db_grid=(10.0, float("inf"))), "snr_db_grid"),
     (mu_classification_rates, _MU_ARGS, dict(threads=0), "threads"),
     (mu_classification_rates, _MU_ARGS, dict(interferer_order=2), "interferer_order"),
+    (mu_classification_rates, _MU_ARGS, dict(desired_order=8), "desired_order"),
 ])
 def test_batch_experiments_reject_bad_input_naming_the_parameter(call, args, bad, name):
     with pytest.raises(ValueError, match=rf"^{name} must"):
@@ -410,6 +408,34 @@ def test_every_export_resolves():
             assert n in exported, f"mimodet.{n}"
 
 
+_IMPORT_FIRST = """
+import importlib, pkgutil, sys, types
+sys.path.insert(0, sys.argv[1])
+import mimodet
+path = list(mimodet.__path__)
+for info in pkgutil.iter_modules(path):
+    for key in [k for k in sys.modules if k == "mimodet" or k.startswith("mimodet.")]:
+        del sys.modules[key]
+    # a bare parent package: the real __init__ would import the modules in its own order
+    parent = types.ModuleType("mimodet")
+    parent.__path__ = path
+    sys.modules["mimodet"] = parent
+    importlib.import_module(f"mimodet.{info.name}")
+"""
+
+
+def test_every_module_imports_before_any_other():
+    # an import cycle shows only when a module on it is imported first
+    import os
+
+    import mimodet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mimodet.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FIRST, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- CLI ----------------------------------------------------------------------
 
 def test_cli_sweep_and_default_subcommand(tmp_path, capsys):
@@ -449,6 +475,8 @@ def test_cli_exit_code_on_config_error(capsys):
         (["mumimo", "--k", "2", "--trials", "2", "--interferer", "4", "--threads", "0"],
          "--threads"),
         (["mumimo", "--k", "2", "--trials", "2", "--interferer", "4,2"], "--interferer"),
+        (["mumimo", "--k", "2", "--trials", "2", "--desired", "8", "--interferer", "4"],
+         "--desired"),
     ]:
         assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -506,15 +534,15 @@ def test_cli_entry_point_installed():
 def test_cli_exit_code_on_shadow_mismatch(monkeypatch, capsys):
     import dataclasses
 
-    import mimodet.simharness as sh
+    import mimodet.detect as det
 
-    real = sh.exhaustive_map
+    real = det.exhaustive_map
 
     def skewed_oracle(*args, **kwargs):
         res = real(*args, **kwargs)
         return dataclasses.replace(res, llr=tuple(lam + 1.0 for lam in res.llr))
 
-    monkeypatch.setattr(sh, "exhaustive_map", skewed_oracle)
+    monkeypatch.setattr(det, "exhaustive_map", skewed_oracle)
     code = cli_main([
         "--layers", "2", "--mods", "4,4", "--snr", "10", "--trials", "5",
         "--detector", "map2", "--shadow-oracle",
@@ -527,7 +555,7 @@ def test_cli_exit_code_on_shadow_mismatch(monkeypatch, capsys):
         return dataclasses.replace(res, dmin=res.dmin + 10.0)
 
     for detector, distance_mode, oracle in (("map2", "L", skewed_oracle), ("wld", "H", low_oracle)):
-        monkeypatch.setattr(sh, "exhaustive_map", oracle)
+        monkeypatch.setattr(det, "exhaustive_map", oracle)
         cfg = SimConfig(
             n_layers=2, mods=(4, 4), snr_db=(10.0, 12.0), trials=3, detector=detector,
             distance_mode=distance_mode, master_seed=4, shadow_oracle=True,
@@ -629,6 +657,7 @@ def test_rekeyed_draws_equal_trial_rng_draws(kwargs, snr_idx, bounds):
 ])
 def test_sweep_rows_do_not_depend_on_call_grouping(kwargs, monkeypatch):
     # calls that span SNR points give every point the rows of chunk-by-chunk detection
+    import mimodet.detect as det
     import mimodet.simharness as sh
 
     cfg = SimConfig(snr_db=(6.0, 10.0, 14.0), trials=150, master_seed=12, **kwargs)
@@ -644,6 +673,7 @@ def test_sweep_rows_do_not_depend_on_call_grouping(kwargs, monkeypatch):
     assert max(calls) > cfg.trials  # some call spans two SNR points
     calls.clear()
     monkeypatch.setattr(sh, "BATCH_CELLS", 0)  # one chunk per call
+    monkeypatch.setattr(det, "BATCH_CELLS", 0)  # and one side per kernel call
     chunked = run_sweep(cfg)
     assert max(calls) == 64
     assert repr(grouped) == repr(chunked)  # repr: llr_mae is nan without the oracle
@@ -666,7 +696,7 @@ def _per_side_batches(h, y, cons, priors, sides, rescore, quant):
         perm = tuple((m + i) % n for i in range(n))
         cand = detect_one_sided_batch(q(l), q(yt), cons, [perm], priors).sides()[0]
         if rescore:
-            cand = rescore_batch(cand, q(h), q(y))
+            cand = rescore_batch(cand, q(h), q(y), cons)
         if quant is not None:
             cand = cand._replace(distances=quantize(cand.distances, quant))
         out.append(cand)
@@ -699,7 +729,7 @@ def _same_bytes(a, b):
     ((16, 4, 16, 4), 12, "wld", "L", "all", FixedPointFormat(5, 6), [[0, 2], [1, 3]]),
 ])
 def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, quant, calls):
-    import mimodet.simharness as sh
+    import mimodet.detect as det
 
     rng = np.random.default_rng(sum(mods) + t)
     cons = tuple(make_constellation(q) for q in mods)
@@ -711,15 +741,15 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
         lam = [rng.normal(0.0, 1.5, (t, c.bits_per_symbol)) for c in cons]
     sides = 2 if detector == "map2" else n
     rescore = mode == "H"
-    assert sh._side_calls(cons, sides, t) == calls
-    got = sh._candidate_batches(h, y, cons, lam, sides, rescore, quant)
+    assert det._side_calls(cons, sides, t) == calls
+    got = det._candidate_batches(h, y, cons, lam, sides, rescore, quant)
     want = _per_side_batches(h, y, cons, lam, sides, rescore, quant)
     for a, b in zip(got, want, strict=True):
         assert (a.layer, a.distance_mode) == (b.layer, b.distance_mode)
-        for name in ("symbols", "distances", "prior_bias", "index"):
+        for name in ("distances", "prior_bias", "index"):
             assert _same_bytes(getattr(a, name), getattr(b, name)), name
     res = detect_batch(h, y, cons, lam, detector, mode, quant)
-    hard, dmin, hard_index = best_candidates(want)
+    hard, dmin, hard_index = best_candidates(want, cons)
     assert _same_bytes(res.hard, hard) and _same_bytes(res.dmin, dmin)
     assert _same_bytes(res.hard_index, hard_index)
     own = [[b] for b in want] if detector == "map2" else [want] * n
@@ -729,7 +759,7 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
 
 def test_a_none_prior_entry_is_rejected():
     # priors are None or one array per layer; a None entry is not a zero prior
-    import mimodet.simharness as sh
+    import mimodet.detect as det
 
     rng = np.random.default_rng(3)
     cons = tuple(make_constellation(q) for q in (4, 16, 4, 16))
@@ -738,7 +768,7 @@ def test_a_none_prior_entry_is_rejected():
     lam = [rng.normal(0.0, 1.5, (5, c.bits_per_symbol)) for c in cons]
     lam[1] = None
     with pytest.raises(ValueError, match="layer 1"):
-        sh._candidate_batches(h, y, cons, lam, 4, True, None)
+        det._candidate_batches(h, y, cons, lam, 4, True, None)
     with pytest.raises(ValueError, match="layer 1"):
         detect_batch(h, y, cons, lam, "wld", "H")
     one = [None if p is None else p[0] for p in lam]
@@ -791,9 +821,9 @@ def test_detect_batch_rejects_what_the_config_rejects(detector, distance_mode, n
 def test_shadow_record_names_a_later_trial_of_the_chunk(detector, distance_mode, monkeypatch):
     import itertools
 
-    import mimodet.simharness as sh
+    import mimodet.detect as det
 
-    real = sh.exhaustive_map
+    real = det.exhaustive_map
     calls = itertools.count()
 
     def oracle_off_on_call_3(*args, **kwargs):
@@ -804,7 +834,7 @@ def test_shadow_record_names_a_later_trial_of_the_chunk(detector, distance_mode,
             return dataclasses.replace(res, llr=tuple(lam + 1.0 for lam in res.llr))
         return dataclasses.replace(res, dmin=res.dmin + 10.0)
 
-    monkeypatch.setattr(sh, "exhaustive_map", oracle_off_on_call_3)
+    monkeypatch.setattr(det, "exhaustive_map", oracle_off_on_call_3)
     cfg = SimConfig(
         n_layers=2, mods=(4, 4), snr_db=(10.0,), trials=6, detector=detector,
         distance_mode=distance_mode, master_seed=4, shadow_oracle=True,
@@ -832,9 +862,9 @@ def test_snr_grid_length_is_checked_before_the_grid_is_built(capsys):
 
 
 def test_cli_exit_code_on_minima_mismatch(monkeypatch, capsys):
-    import mimodet.simharness as sh
+    import mimodet.detect as det
 
-    real = sh.punctured_decompose_batch
+    real = det.punctured_decompose_batch
 
     def skewed(h, layers):
         # the sides come out stacked side by side: skew side 1's rows
@@ -845,7 +875,7 @@ def test_cli_exit_code_on_minima_mismatch(monkeypatch, capsys):
                 l[s * t:(s + 1) * t] *= 2.0
         return w, l
 
-    monkeypatch.setattr(sh, "punctured_decompose_batch", skewed)
+    monkeypatch.setattr(det, "punctured_decompose_batch", skewed)
     code = cli_main([
         "--layers", "2", "--mods", "4,4", "--snr", "10", "--trials", "5", "--detector", "map2",
     ])
