@@ -319,30 +319,18 @@ class CandidateBatch(NamedTuple):
     Each list holds symbol vectors enumerated on one layer with sliced
     companions: row q of trial t holds the q-th enumerated point of
     ``layer`` (bit-lexicographic order) and the per-layer minimizers
-    given it, in original layer order.  ``distances`` are absolute:
-    ||y - Lx||^2 - b(x)'lam for L-based lists, ||ytilde - Hx||^2 -
-    b(x)'lam after rescoring.  ``index`` holds each symbol's index into
-    its layer's constellation points (see :func:`symbols_of`).  ``len()``
-    of a batch counts its fields; its candidates number ``distances.shape[1]``.
-
-    A batch stacked over S sides (decompositions, see
-    :func:`detect_one_sided_batch`) holds S T rows, side by side, and
-    the sides' layers as a tuple; :meth:`sides` splits it.
+    given it.  ``distances`` are absolute: ||y - Lx||^2 - b(x)'lam for
+    L-based lists, ||ytilde - Hx||^2 - b(x)'lam after rescoring.
+    ``index`` holds each symbol's index into its layer's constellation
+    points (see :func:`symbols_of`).  ``len()`` of a batch counts its
+    fields; its candidates number ``distances.shape[1]``.
     """
 
     distances: np.ndarray  # (T, Q)
     prior_bias: np.ndarray  # (T, Q)
     index: np.ndarray  # (T, Q, N)
-    layer: int | tuple[int, ...]
+    layer: int
     distance_mode: str  # "L" | "H"
-
-    def sides(self) -> list["CandidateBatch"]:
-        """The one-side batches (views of its rows) of a stacked batch."""
-        t = len(self.distances) // len(self.layer)
-        return [
-            CandidateBatch(*(a[s * t:(s + 1) * t] for a in self[:3]), layer, self.distance_mode)
-            for s, layer in enumerate(self.layer)
-        ]
 
 
 def symbols_of(index: np.ndarray, constellations) -> np.ndarray:
@@ -367,81 +355,46 @@ def _layer_priors(priors, constellations, t):
     return out
 
 
-def _position_priors(priors, cons, perms, t):
-    """Prior LLRs (S T, q) of each decomposition position, stacked over the sides.
+def detect_one_sided_batch(l: np.ndarray, y: np.ndarray, constellations,
+                           priors=None) -> CandidateBatch:
+    """Enumerate decomposition position 0 and slice all others, for R rows.
 
-    ``priors`` is None (zeros) or one checked (T, q_n) array per original
-    layer (:func:`_layer_priors`).
-    """
-    if priors is None:
-        return [np.zeros((len(perms) * t, c.bits_per_symbol)) for c in cons]
-    return [np.concatenate([priors[perm[i]] for perm in perms]) for i in range(len(cons))]
-
-
-def detect_one_sided_batch(
-    l: np.ndarray,
-    y: np.ndarray,
-    constellations,
-    perms,
-    priors=None,
-) -> CandidateBatch:
-    """Enumerate the detection layer and slice all others, for T trials of S sides.
-
-    ``perms`` lists the decomposition orders of S sides whose layers
-    carry the same constellations position by position; ``l`` (S T, N,
-    N) and ``y`` (S T, N) stack the sides' factors and transformed
-    observations W* ytilde of the T trials side by side (as
-    :func:`~mimodet.decomp.punctured_decompose_batch` returns them), and
-    so does the returned batch, each side's candidates in original layer
-    order (see :meth:`CandidateBatch.sides`).  ``constellations`` and
-    ``priors`` are indexed by original layer; ``priors`` is None or
-    holds one (T, q_n) array of prior LLRs per layer.
+    ``l`` (R, N, N) and ``y`` (R, N) hold the rows' punctured factors
+    and transformed observations W* ytilde.  ``constellations`` and
+    ``priors`` (None or one (R, q_i) array of prior LLRs per position)
+    are indexed by decomposition position, position 0 the enumerated
+    layer; the returned batch has ``layer`` 0 and its ``index`` columns
+    in position order.
     """
     l = np.asarray(l, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n_rows, n, _ = l.shape
-    try:
-        perms = [tuple(p) for p in perms]
-        cons = [constellations[p] for p in perms[0]]
-    except (TypeError, IndexError):
-        raise ValueError("perms must list one decomposition order per side") from None
-    if any(constellations[p[i]].order != c.order for p in perms for i, c in enumerate(cons)):
-        raise ValueError("stacked sides must carry the same constellations in order")
-    t, rest = divmod(n_rows, len(perms))
-    if rest:
-        raise ValueError("l and y must stack the same number of trials per side")
-    lam = _position_priors(_layer_priors(priors, constellations, t), cons, perms, t)
+    if priors is None:
+        priors = [np.zeros((n_rows, c.bits_per_symbol)) for c in constellations]
     k = _constants(l, y)
-    q = cons[0].order
+    c0 = constellations[0]
+    q = c0.order
     index = np.empty((n_rows, q, n), dtype=np.intp)
-
-    def put(i, value):
-        for s, perm in enumerate(perms):
-            index[s * t:(s + 1) * t, :, perm[i]] = value[s * t:(s + 1) * t]
-
-    c0 = cons[0]
     pts = c0.points
     x1re = pts.real
     x1im = pts.imag
-    bias0 = _bias(c0.point_bits, lam[0])
+    bias0 = _bias(c0.point_bits, priors[0])
     gbar = _enumerated_metric(k, x1re, x1im)
     gbar -= bias0
     total_bias = bias0.copy()
-    put(0, np.broadcast_to(np.arange(q), (n_rows, q)))
+    index[:, :, 0] = np.arange(q)
     for i in range(1, n):
-        c = cons[i]
+        c = constellations[i]
         (k_re, v_re, b_re), (k_im, v_im, b_im) = _slice_layer(
             c, k.slice_quad[:, i - 1], k.cross_re[:, i - 1], k.cross_im[:, i - 1],
-            k.slice_lin_re[:, i - 1], k.slice_lin_im[:, i - 1], lam[i], x1re, x1im,
+            k.slice_lin_re[:, i - 1], k.slice_lin_im[:, i - 1], priors[i], x1re, x1im,
         )
         gbar += v_re + v_im
         total_bias += b_re + b_im
-        put(i, c.level_grid[k_re, k_im])
+        index[:, :, i] = c.level_grid[k_re, k_im]
 
     dropped = np.sum(y.real * y.real + y.imag * y.imag, axis=1)
-    return CandidateBatch(
-        gbar + dropped[:, None], total_bias, index, tuple(p[0] for p in perms), "L",
-    )
+    return CandidateBatch(gbar + dropped[:, None], total_bias, index, 0, "L")
 
 
 def hypothesis_minima(l: np.ndarray, y: np.ndarray, enumerated, hypotheses) -> np.ndarray:
@@ -504,8 +457,9 @@ def detect_one_sided(
 
     ``y`` is the transformed observation W* ytilde; ``constellations``
     and ``priors`` (None or one (q_n,) array per layer) are indexed by
-    original layer.  The T=1 view of :func:`detect_one_sided_batch`: a
-    one-trial batch, whose ``len()`` counts its fields; its candidates
+    original layer.  The T=1 view of :func:`detect_one_sided_batch`, run
+    in decomposition order (``d.perm``): a one-trial batch in original
+    layer order, whose ``len()`` counts its fields; its candidates
     number ``distances.shape[1]``.
     """
     n = d.n_layers
@@ -515,8 +469,12 @@ def detect_one_sided(
     if y.shape != (n,):
         raise ValueError("observation length does not match decomposition")
     if priors is not None:
-        priors = [np.asarray(lam, dtype=float)[None] for lam in priors]
-    return detect_one_sided_batch(d.l[None], y[None], constellations, [d.perm], priors).sides()[0]
+        priors = _layer_priors([np.asarray(lam, dtype=float)[None] for lam in priors],
+                               constellations, 1)
+        priors = [priors[p] for p in d.perm]
+    cand = detect_one_sided_batch(d.l[None], y[None], [constellations[p] for p in d.perm], priors)
+    # position i holds layer perm[i]
+    return cand._replace(index=cand.index[:, :, np.argsort(d.perm)], layer=d.layer)
 
 
 def rescore_batch(cand: CandidateBatch, h: np.ndarray, y_tilde: np.ndarray,

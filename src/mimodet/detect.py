@@ -4,7 +4,9 @@ A batched detection stacks its sides (one per detection layer's
 decomposition) whose layers carry the same constellations in
 decomposition order, and runs each stage once per stack of at most
 4096 cells (rows x enumerated order); a side's candidates do not
-depend on the stack it ran in.
+depend on the stack it ran in.  The side layout lives here alone: the
+one-sided kernel sees rows in decomposition order, and
+:func:`_candidate_batches` maps each side back to layer order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .decomp import punctured_decompose_batch, transform_observation_batch
-from .detcore import BATCH_CELLS, _layer_priors, detect_one_sided_batch, rescore_batch
+from .detcore import (
+    BATCH_CELLS, CandidateBatch, _layer_priors, detect_one_sided_batch, rescore_batch,
+)
 from .errors import ConfigError
 from .hwmodel import FixedPointFormat, quantize
 from .llrpost import DetectionResult, best_candidates, combine_batch, two_sided_batch
@@ -60,31 +64,46 @@ def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, q
 
     Each call of :func:`_side_calls` runs one decomposition, transform,
     one-sided detection, rescoring and quantization on its sides stacked
-    side by side.  Quantization, if requested, applies to the detector
-    inputs (triangular factors, transformed observations, priors, and
-    the rescoring channel) and to the candidate distances.
+    side by side.  Side m holds layer (m + i) % n at decomposition
+    position i: the kernel takes the constellations and priors in that
+    order, and side m's index columns roll by m back to layer order.
+    ``priors`` are checked in layer order (a wrong entry raises
+    ValueError naming its layer).  Quantization, if requested, applies
+    to the detector inputs (triangular factors, transformed
+    observations, priors, and the rescoring channel) and to the
+    candidate distances.
     """
     def q(v):
         return quantize(v, quant) if quant is not None else v
 
+    t = len(h_eff)
+    priors = _layer_priors(priors, constellations, t)
     if priors is not None:
-        priors = [q(np.asarray(lam, dtype=float)) for lam in priors]
+        priors = [q(lam) for lam in priors]
     if rescore:
         h_q, y_q = q(h_eff), q(y_tilde)
     n = len(constellations)
     batches = [None] * sides
-    for call in _side_calls(constellations, sides, len(h_eff)):
+    for call in _side_calls(constellations, sides, t):
         w, l = punctured_decompose_batch(h_eff, call)
         yt = transform_observation_batch(w, np.concatenate([y_tilde] * len(call)))
-        perms = [tuple((m + i) % n for i in range(n)) for m in call]
-        cand = detect_one_sided_batch(q(l), q(yt), constellations, perms, priors)
+        cons = [constellations[(call[0] + i) % n] for i in range(n)]
+        lam = None if priors is None else [
+            np.concatenate([priors[(m + i) % n] for m in call]) for i in range(n)
+        ]
+        cand = detect_one_sided_batch(q(l), q(yt), cons, lam)
+        for s, m in enumerate(call):
+            if m:
+                rows = cand.index[s * t:(s + 1) * t]
+                rows[...] = np.roll(rows, m, axis=2)
         if rescore:
             cand = rescore_batch(cand, np.concatenate([h_q] * len(call)),
                                  np.concatenate([y_q] * len(call)), constellations)
         if quant is not None:
             cand = cand._replace(distances=quantize(cand.distances, quant))
-        for m, side in zip(call, cand.sides()):
-            batches[m] = side
+        for s, m in enumerate(call):
+            batches[m] = CandidateBatch(*(a[s * t:(s + 1) * t] for a in cand[:3]), m,
+                                        cand.distance_mode)
     return batches
 
 
@@ -111,8 +130,8 @@ def detect_batch(
     _check_detector(detector, distance_mode, len(constellations))
     h_eff = np.asarray(h_eff, dtype=complex)
     y_tilde = np.asarray(y_tilde, dtype=complex)
-    priors = _layer_priors(priors, constellations, len(h_eff))
     if detector == "oracle":
+        priors = _layer_priors(priors, constellations, len(h_eff))
         res = [exhaustive_map(h_eff[t], y_tilde[t], constellations,
                               None if priors is None else [lam[t] for lam in priors])
                for t in range(len(h_eff))]

@@ -160,7 +160,7 @@ def _hypothesis_batch(l, y, desired: Constellation, hyp: Constellation) -> Candi
     """
     l_hyp = l.copy()
     l_hyp[:, :, 1] *= hyp.unit_energy_scale
-    return detect_one_sided_batch(l_hyp, y, (desired, hyp), [(0, 1)])
+    return detect_one_sided_batch(l_hyp, y, (desired, hyp))
 
 
 def _sums_and_scores(channels, observations, desired: Constellation, noise_var, scenario0=0):

@@ -54,6 +54,8 @@ def test_tracer_installs_every_traced_name_and_uninstalls():
     per_layer = tracer.per_layer(4)
     assert set(per_layer) == {name for name, _ in tracing.metric_names()}
     assert per_layer["simharness.run_sweep.self_us_per_trial"]["value"] > 0
+    # two sides of 16 candidates per trial: a count read from the wrong field shows here
+    assert per_layer["detcore.detect_one_sided_batch.candidates_per_trial"]["value"] == 32
     for (module, path), fn in raw.items():
         owner, attr = _owner(module, path)
         assert owner.__dict__[attr] is fn, f"mimodet.{module}.{path} left wrapped"

@@ -257,13 +257,28 @@ def test_batch_detectors_match_library_path():
         hard_ml = ml_hard_batch(h, y, cons)
         for t in range(len(h)):
             assert np.array_equal(exhaustive_map(h[t], y[t], cons).hard, hard_ml[t]), (mods, snr, t)
-    # exact ties: midpoints on layer 0 (several minimisers) and on the sliced last layer
+    # exact ties: midpoints on layer 0 (several minimisers), and midpoint 0 on the
+    # sliced last layer, where the upper level is also the lowest enumeration index
+    # (other last-layer midpoints: test_ml_breaks_a_last_layer_midpoint_upward)
     cons = (make_constellation(16),) * 4
     ys = np.array([[y0, 1 + 1j, 3 - 1j, 0] for y0 in (0, 2, 2 + 2j, -2j)])
     hs = np.broadcast_to(np.eye(4, dtype=complex), (len(ys), 4, 4))
     hard_ml = ml_hard_batch(hs, ys, cons)
     for t in range(len(ys)):
         assert np.array_equal(exhaustive_map(hs[t], ys[t], cons).hard, hard_ml[t]), ys[t]
+
+
+@pytest.mark.parametrize("z,upper", [(2, 3 + 1j), (-2, -1 + 1j), (2 + 2j, 3 + 3j)])
+def test_ml_breaks_a_last_layer_midpoint_upward(z, upper):
+    # exhaustive_map keeps the lowest enumeration index (1 + 1j at z = 2) instead:
+    # a different minimizer at the same metric
+    cons = (make_constellation(16),) * 4
+    h = np.eye(4, dtype=complex)
+    y = np.array([1 + 1j, 1 + 1j, 3 - 1j, z])
+    hard = ml_hard_batch(h[None], y[None], cons)[0]
+    e = y - hard
+    assert np.sum(e.real * e.real + e.imag * e.imag) == exhaustive_map(h, y, cons).dmin
+    assert np.array_equal(hard, np.r_[y[:3], upper])
 
 
 @pytest.mark.parametrize("snr,limit_mib", [(16.0, 40.0), (0.0, 112.7)])
@@ -693,8 +708,10 @@ def _per_side_batches(h, y, cons, priors, sides, rescore, quant):
     for m in range(sides):
         w, l = punctured_decompose_batch(h, [m])
         yt = transform_observation_batch(w, y)
-        perm = tuple((m + i) % n for i in range(n))
-        cand = detect_one_sided_batch(q(l), q(yt), cons, [perm], priors).sides()[0]
+        perm = [(m + i) % n for i in range(n)]  # the layer at each decomposition position
+        lam = None if priors is None else [priors[p] for p in perm]
+        cand = detect_one_sided_batch(q(l), q(yt), [cons[p] for p in perm], lam)
+        cand = cand._replace(index=cand.index[:, :, np.argsort(perm)], layer=m)
         if rescore:
             cand = rescore_batch(cand, q(h), q(y), cons)
         if quant is not None:
@@ -755,6 +772,25 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
     own = [[b] for b in want] if detector == "map2" else [want] * n
     for i, llr in enumerate(res.llr):
         assert _same_bytes(llr, _per_list_llrs(own[i], cons)[i]), i
+
+
+def test_one_sided_view_equals_its_side_of_the_stacked_batches():
+    # both places that map a side's index columns back to layer order agree
+    import mimodet.detect as det
+
+    rng = np.random.default_rng(21)
+    cons = tuple(make_constellation(q) for q in (2, 16, 64, 4))
+    t = 5
+    h = crandn(rng, t, 4, 4) * np.array([c.unit_energy_scale for c in cons])
+    y = 2.0 * crandn(rng, t, 4)
+    lam = [rng.normal(0.0, 0.5 + i, (t, c.bits_per_symbol)) for i, c in enumerate(cons)]
+    for m, side in enumerate(det._candidate_batches(h, y, cons, lam, 4, False, None)):
+        for tr in range(t):
+            d = punctured_decompose(h[tr], m)
+            one = detect_one_sided(d, transform_observation(d, y[tr]), cons, [p[tr] for p in lam])
+            assert (one.layer, one.distance_mode) == (side.layer, side.distance_mode) == (m, "L")
+            for name in ("distances", "prior_bias", "index"):
+                assert _same_bytes(getattr(one, name), getattr(side, name)[tr:tr + 1]), (m, tr)
 
 
 def test_a_none_prior_entry_is_rejected():
