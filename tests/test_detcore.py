@@ -473,6 +473,20 @@ def test_batch_kernel_bit_exact_vs_scalar():
         assert np.array_equal(cl.distances[0], batch.distances[t])
 
 
+def test_stacked_sides_need_the_same_constellations_in_order():
+    # sides share a kernel call only where their layers carry the same
+    # constellations in decomposition order; each comes back as its own batch
+    import mimodet.detect as det
+
+    cons = tuple(make_constellation(q) for q in (4, 16, 64))
+    assert det._side_calls(cons, 3, 4) == [[0], [1], [2]]
+    cons = tuple(make_constellation(q) for q in (16, 4, 16, 4))
+    assert det._side_calls(cons, 4, 2) == [[0, 2], [1, 3]]
+    h = crandn(RNG(19), 2, 4, 4)
+    sides = det._candidate_batches(h, np.zeros((2, 4), dtype=complex), cons, None, 4, False, None)
+    assert [(b.layer, b.index.shape) for b in sides] == [(m, (2, cons[m].order, 4)) for m in range(4)]
+
+
 # --- rescoring -------------------------------------------------------------
 
 def test_rescore_two_layer_preserves_everything():
