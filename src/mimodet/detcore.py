@@ -18,7 +18,9 @@ table is built: each level's lower edge in u-space comes from the
 scaled midpoint with the next level and never increases with the
 level, so the level comes straight from the number of edges at or
 below the query (the MU scoring loop, zero-prior sweeps and the VER
-wld path take this path).
+wld path take this path).  A square constellation slices both axes in
+one call on stacked rows whenever both take the same path, with or
+without priors (:func:`_slice_layer`).
 
 The kernels carry a leading trial axis T and treat each trial on its
 own, so a trial's result does not depend on the batch it ran in.
@@ -170,8 +172,8 @@ def _slicer_tables(axis: PamAxis, quad, offset, lam):
     upper, diff = axis.pairwise
     neg_r = -(quad[:, None, None] * (lv[:, None] + lv[None, :]))
     neg_r += (bias[:, :, None] - bias[:, None, :]) / diff
-    lo = np.max(np.where(upper, neg_r, -np.inf), axis=2)
-    hi = np.min(np.where(upper.T, neg_r, np.inf), axis=2)
+    lo = np.max(neg_r, axis=2, where=upper, initial=-np.inf)
+    hi = np.min(neg_r, axis=2, where=upper.T, initial=np.inf)
     lo -= offset[:, None]
     hi -= offset[:, None]
     reachable = lo < hi
@@ -242,20 +244,28 @@ def _slice_axis(axis: PamAxis, quad, offset, lam, u):
     lv = axis.levels
     quad_u = _per_row(quad, u.ndim)
     offset_u = _per_row(offset, u.ndim)
-    if lam is not None and lam.any():
+    tables = lam is not None and lam.any()
+    if tables:
         bias, _, _, _, order, breakpoints = _slicer_tables(axis, quad, offset, lam)
         # flat gathers from the (T, P) tables at row offsets
         rows = _per_row(np.arange(0, order.size, len(lv)), u.ndim)
-        k = np.take(order, _locate(breakpoints.reshape(quad_u.shape + (-1,)), u) + rows)
-        b_hat = np.take(bias, k + rows)
-        p_hat = np.take(lv, k)
-        val = quad_u * p_hat * p_hat + (offset_u + u) * p_hat - b_hat
+        flat = _locate(breakpoints.reshape(quad_u.shape + (-1,)), u)
+        flat += rows
+        k = np.take(order, flat)
+        b_hat = np.take(bias, np.add(k, rows, out=flat))
     else:
         lo = -(quad[:, None] * (lv[:-1] + lv[1:])) - offset[:, None]
         k = len(lv) - 1 - _locate(lo.reshape(quad_u.shape + (-1,)), u)
         b_hat = 0.0
-        p_hat = np.take(lv, k)
-        val = quad_u * p_hat * p_hat + (offset_u + u) * p_hat
+    # quad p p + (offset + u) p - bias in place, in that evaluation order
+    p_hat = np.take(lv, k)
+    val = quad_u * p_hat
+    val *= p_hat
+    lin = offset_u + u
+    lin *= p_hat
+    val += lin
+    if tables:
+        val -= b_hat
     return k, val, b_hat
 
 
@@ -284,29 +294,29 @@ def _slice_layer(c, quad, cross_re, cross_im, lin_re, lin_im, lam, x1re, x1im):
     :func:`_slice_axis`.
 
     The queries u_re = E x1re + F x1im and u_im = E x1im - F x1re go
-    into one (2, T, ...) buffer.  A square constellation with zero
-    priors slices both in one zero-prior call on the 2T stacked rows.
-    Stacking is kept to all-zero priors: stacked with a non-zero axis,
-    a zero-prior axis would take the tables path, whose biases can be
-    -0.0 where the zero-prior path gives 0.0.
+    into one (2, T, ...) buffer.  A square constellation slices both in
+    one call on the 2T stacked rows when both axes take the same path:
+    zero priors on both, or non-zero priors on both (one table per
+    stacked row).  An axis whose priors are all zero beside a non-zero
+    axis is sliced on its own: stacked, it would take the tables path,
+    whose biases can be -0.0 where the zero-prior path gives 0.0.
     """
     ndim = 1 + np.ndim(x1re)
     cre = _per_row(cross_re, ndim)
     cim = _per_row(cross_im, ndim)
-    e_re, f_re = cre * x1re, cim * x1re
-    e_im, f_im = cre * x1im, cim * x1im
     u = np.empty((2, len(quad)) + np.broadcast(x1re, x1im).shape)
-    np.add(e_re, f_im, out=u[0])
-    np.subtract(e_im, f_re, out=u[1])
-    if (lam is None or not lam.any()) and c.real_axis is c.imag_axis:
+    np.add(cre * x1re, cim * x1im, out=u[0])
+    np.subtract(cre * x1im, cim * x1re, out=u[1])
+    lam_re, lam_im = (None, None) if lam is None or not lam.any() else split_prior(c, lam)
+    if c.real_axis is c.imag_axis and (lam_re is None or (lam_re.any() and lam_im.any())):
         k, v, b = _slice_axis(
             c.real_axis, np.concatenate((quad, quad)), np.concatenate((lin_re, lin_im)),
-            None, u.reshape((-1,) + u.shape[2:]),
+            None if lam_re is None else np.concatenate((lam_re, lam_im)),
+            u.reshape((-1,) + u.shape[2:]),
         )
-        k = k.reshape(u.shape)
-        v = v.reshape(u.shape)
-        return (k[0], v[0], b), (k[1], v[1], b)
-    lam_re, lam_im = (None, None) if lam is None else split_prior(c, lam)
+        k, v = k.reshape(u.shape), v.reshape(u.shape)
+        b = (b, b) if lam_re is None else b.reshape(u.shape)
+        return (k[0], v[0], b[0]), (k[1], v[1], b[1])
     return (
         _slice_axis(c.real_axis, quad, lin_re, lam_re, u[0]),
         _slice_axis(c.imag_axis, quad, lin_im, lam_im, u[1]),

@@ -1,12 +1,13 @@
 """Detector dispatch: map2, wld and the exhaustive oracle over stacked trials.
 
-A batched detection stacks its sides (one per detection layer's
-decomposition) whose layers carry the same constellations in
-decomposition order, and runs each stage once per stack of at most
-4096 cells (rows x enumerated order); a side's candidates do not
-depend on the stack it ran in.  The side layout lives here alone: the
-one-sided kernel sees rows in decomposition order, and
-:func:`_candidate_batches` maps each side back to layer order.
+A batched detection decomposes every side (one per detection layer)
+of its trials in one call, then stacks the sides whose layers carry the
+same constellations in decomposition order and runs detection,
+rescoring and quantization once per stack of at most 4096 cells (rows x
+enumerated order); a side's candidates do not depend on the stack it
+ran in.  The side layout lives here alone: the one-sided kernel sees
+rows in decomposition order, and :func:`_candidate_batches` maps each
+side back to layer order.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ def _side_calls(constellations, sides, t):
 def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, quant):
     """One candidate batch per detection layer 0..sides-1 for stacked trials.
 
-    Each call of :func:`_side_calls` runs one decomposition, transform,
-    one-sided detection, rescoring and quantization on its sides stacked
-    side by side.  Side m holds layer (m + i) % n at decomposition
-    position i: the kernel takes the constellations and priors in that
-    order, and side m's index columns roll by m back to layer order.
+    One decomposition and one transform cover every side of the batch;
+    each call of :func:`_side_calls` then runs one one-sided detection,
+    rescoring and quantization on its sides' rows stacked side by side.
+    Side m holds layer (m + i) % n at decomposition position i: the
+    kernel takes the constellations and priors in that order, and one
+    gather per side puts its index columns back in layer order.
     ``priors`` are checked in layer order (a wrong entry raises
     ValueError naming its layer).  Quantization, if requested, applies
     to the detector inputs (triangular factors, transformed
@@ -83,19 +85,25 @@ def _candidate_batches(h_eff, y_tilde, constellations, priors, sides, rescore, q
     if rescore:
         h_q, y_q = q(h_eff), q(y_tilde)
     n = len(constellations)
+    w, l = punctured_decompose_batch(h_eff, range(sides))
+    yt = transform_observation_batch(w, np.concatenate([y_tilde] * sides))
+    # side by side: l[m] and yt[m] hold side m's T rows
+    l = q(l).reshape(sides, t, n, n)
+    yt = q(yt).reshape(sides, t, n)
     batches = [None] * sides
     for call in _side_calls(constellations, sides, t):
-        w, l = punctured_decompose_batch(h_eff, call)
-        yt = transform_observation_batch(w, np.concatenate([y_tilde] * len(call)))
         cons = [constellations[(call[0] + i) % n] for i in range(n)]
         lam = None if priors is None else [
             np.concatenate([priors[(m + i) % n] for m in call]) for i in range(n)
         ]
-        cand = detect_one_sided_batch(q(l), q(yt), cons, lam)
+        # a view of consecutive sides' rows, a copy of the others
+        rows = slice(call[0], call[-1] + 1) if call[-1] - call[0] == len(call) - 1 else call
+        cand = detect_one_sided_batch(l[rows].reshape(-1, n, n), yt[rows].reshape(-1, n),
+                                      cons, lam)
+        index = cand.index.reshape(len(call), t, -1, n)
         for s, m in enumerate(call):
-            if m:
-                rows = cand.index[s * t:(s + 1) * t]
-                rows[...] = np.roll(rows, m, axis=2)
+            if m:  # position i holds layer (m + i) % n
+                index[s] = index[s][..., (np.arange(n) - m) % n]
         if rescore:
             cand = rescore_batch(cand, np.concatenate([h_q] * len(call)),
                                  np.concatenate([y_q] * len(call)), constellations)

@@ -143,9 +143,13 @@ class FidelityPoint:
     llr_max: float
 
 
-def generate_channel(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0,1) channel entries of any shape, every real part drawn before the imaginary."""
-    re, im = rng.standard_normal((2, *shape))
+def generate_channel(rng, shape) -> np.ndarray:
+    """i.i.d. CN(0,1) channel entries of any shape, every real part drawn before the imaginary.
+
+    ``rng`` is a Generator, or the (2, *shape) standard normals it would
+    draw, so draws made elsewhere form their channels here too.
+    """
+    re, im = rng if isinstance(rng, np.ndarray) else rng.standard_normal((2, *shape))
     return (re + 1j * im) * np.sqrt(0.5)
 
 
@@ -168,32 +172,41 @@ def _reduce_chunks(run_chunk, jobs, threads):
 def _draw_sweep_chunk(cfg, cons, scales, snr_idx, snr_db, bounds):
     """Draw sweep trials [lo, hi) of one SNR point, one counter-based stream each.
 
-    The draws (:func:`~mimodet.rng.trial_streams`) fill preallocated
-    arrays and the observations are formed for the whole chunk at once.
-    Returns (h_eff (T, N, N), transmitted indices (T, N), y_tilde (T, N),
-    priors: None or per layer (T, q_n)).
+    Each trial's standard normals (channel, noise and priors) are drawn
+    in place into preallocated chunk arrays
+    (:func:`~mimodet.rng.trial_streams`), in the per-trial draw order;
+    the channels, observations and sigma-scaled priors are then formed
+    for the whole chunk at once (sigma z + 0.0 is what
+    ``normal(0.0, sigma)`` returns).  Returns (h_eff (T, N, N),
+    transmitted indices (T, N), y_tilde (T, N), priors: None or per
+    layer (T, q_n)).
     """
     n = cfg.n_layers
     lo, hi = bounds
     orders = np.array([c.order for c in cons])
     q = [c.bits_per_symbol for c in cons]
-    h = np.empty((hi - lo, n, n), dtype=complex)
+    h_normals = np.empty((hi - lo, 2, n, n))
     tx = np.empty((hi - lo, n), dtype=np.int64)
     noise = np.empty((hi - lo, 2, n))
     draw_priors = cfg.priors_mode == "random"
     lam = np.empty((hi - lo, sum(q)))
     streams = trial_streams(cfg.master_seed, snr_idx, range(lo, hi), CONTEXT_SWEEP)
     for j, rng in enumerate(streams):
-        h[j] = generate_channel(rng, (n, n))
+        rng.standard_normal(out=h_normals[j])
         tx[j] = rng.integers(orders)
-        noise[j] = rng.standard_normal((2, n))
+        rng.standard_normal(out=noise[j])
         if draw_priors:
-            lam[j] = rng.normal(0.0, cfg.priors_sigma, lam.shape[1])
-    h_eff = h * scales[None, None, :]
+            rng.standard_normal(out=lam[j])
+    h_eff = generate_channel(h_normals.transpose(1, 0, 2, 3), (hi - lo, n, n))
+    h_eff *= scales[None, None, :]
     x = symbols_of(tx, cons)
     sigma2 = _sigma2(snr_db, n)
     y = (h_eff @ x[:, :, None])[:, :, 0] + np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
-    priors = np.split(lam, np.cumsum(q)[:-1], axis=1) if draw_priors else None
+    priors = None
+    if draw_priors:
+        lam *= cfg.priors_sigma
+        lam += 0.0
+        priors = np.split(lam, np.cumsum(q)[:-1], axis=1)
     return h_eff, tx, y, priors
 
 

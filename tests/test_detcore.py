@@ -22,6 +22,7 @@ from mimodet.detcore import (
     _constants,
     _locate,
     _slice_axis,
+    _slice_layer,
     _slicer_tables,
     detect_one_sided_batch,
     symbols_of,
@@ -325,6 +326,69 @@ def test_zero_prior_slice_axis_equals_the_tables_path(size):
     assert np.broadcast_to(b, b_want.shape).tobytes() == b_want.tobytes()
     # quad = 0 and tiny quad under a large offset leave no middle level reachable
     assert not reachable[4:9, 1:-1].any()
+
+
+def _queries_at_breakpoints(ax, quad, offset, lam):
+    """Every finite breakpoint of one axis' tables over all rows, and one ulp either side."""
+    bp = _slicer_tables(ax, quad, offset, lam)[5]
+    bp = bp[np.isfinite(bp)]
+    return np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])
+
+
+@pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
+@pytest.mark.parametrize("zero", ["none", "row", "real", "imag", "all"])
+def test_slice_layer_equals_per_axis_calls(order, zero, monkeypatch):
+    # stacked or not, each axis gets its own _slice_axis call's indices,
+    # values and biases byte for byte, zero signs included; a square
+    # constellation stacks its axes when both take the same path
+    import mimodet.detcore as dc
+
+    c = make_constellation(order)
+    rng = RNG(order + len(zero))
+    t = 6
+    quad = np.concatenate([[1.0, 0.5, 2.0], rng.exponential(size=t - 3)])
+    lin_re, lin_im = rng.normal(0, 8, (2, t))
+    # rows 0-2 have E = 1 and F = 0: their queries are x1re and x1im exactly
+    cross_re = np.concatenate([np.ones(3), rng.normal(0, 2, t - 3)])
+    cross_im = np.concatenate([np.zeros(3), rng.normal(0, 2, t - 3)])
+    lam = rng.normal(0, 3, (t, c.bits_per_symbol))
+    if zero == "row":
+        lam[1] = 0.0  # one all-zero row among non-zero rows
+    elif zero == "real":
+        lam[:, c.real_bit_idx] = 0.0
+    elif zero == "imag":
+        lam[:, c.imag_bit_idx] = 0.0
+    elif zero == "all":
+        lam[:] = 0.0
+    lam_re, lam_im = split_prior(c, lam)
+    x1re = _queries_at_breakpoints(c.real_axis, quad, lin_re, lam_re)
+    x1im = _queries_at_breakpoints(c.imag_axis, quad, lin_im, lam_im)
+    m = max(len(x1re), len(x1im))
+    extra = np.concatenate([[0.0, -0.0], rng.normal(0, 10, 9)])
+    x1re = np.concatenate([np.resize(x1re, m), extra])
+    x1im = np.concatenate([np.resize(x1im, m), extra[::-1]])
+    cre, cim = cross_re[:, None], cross_im[:, None]
+    want = (
+        _slice_axis(c.real_axis, quad, lin_re, lam_re, cre * x1re + cim * x1im),
+        _slice_axis(c.imag_axis, quad, lin_im, lam_im, cre * x1im - cim * x1re),
+    )
+    rows = []
+    real = dc._slice_axis
+
+    def counted(ax, q, *args):
+        rows.append(len(q))
+        return real(ax, q, *args)
+
+    monkeypatch.setattr(dc, "_slice_axis", counted)
+    got = _slice_layer(c, quad, cross_re, cross_im, lin_re, lin_im, lam, x1re, x1im)
+    stacked = order > 2 and zero in ("none", "row", "all")
+    assert rows == ([2 * t] if stacked else [t, t])
+    for (k, v, b), (k_want, v_want, b_want) in zip(got, want):
+        assert k.dtype == k_want.dtype and k.tobytes() == k_want.tobytes()
+        assert v.dtype == v_want.dtype and v.tobytes() == v_want.tobytes()
+        assert np.broadcast_to(b, v.shape).tobytes() == np.broadcast_to(b_want, v.shape).tobytes()
+        # an all-zero axis keeps the zero-prior path: a scalar 0.0 bias, never -0.0
+        assert np.ndim(b) == np.ndim(b_want)
 
 
 # --- one-sided detection ---------------------------------------------------

@@ -649,6 +649,8 @@ def _trial_rng_draws(cfg, cons, scales, snr_idx, snr_db, bounds):
     (dict(n_layers=3, mods=(4, 16, 64), master_seed=2**64 + 9), 65535, (40, 130)),
     (dict(n_layers=4, mods=(16, 2, 4, 16), priors_mode="random", priors_sigma=2.0,
           master_seed=2**70 - 1), 1, (2**32 - 3, 2**32)),
+    (dict(n_layers=2, mods=(256, 256), priors_mode="random", priors_sigma=0.002,
+          master_seed=(5 << 16) | 2), 2, (16, 48)),  # the benchmark's map2 draws
 ])
 def test_rekeyed_draws_equal_trial_rng_draws(kwargs, snr_idx, bounds):
     # key edges: trial 0 and 2**32-1, snr_idx 65535, master seeds at and above 2**64
@@ -744,6 +746,10 @@ def _same_bytes(a, b):
     ((16,) * 4, 100, "wld", "H", None, None, [[0, 1], [2, 3]]),  # split by the cap
     ((4, 16, 64), 20, "wld", "H", None, None, [[0], [1], [2]]),
     ((16, 4, 16, 4), 12, "wld", "L", "all", FixedPointFormat(5, 6), [[0, 2], [1, 3]]),
+    # side 0 slices layer 1 on the zero-prior path, side 1 layer 0 on the tables path
+    ((64, 64), 40, "map2", "L", "layer1_zero", None, [[0], [1]]),
+    # each sliced layer: zero-prior real axis beside a tables-path imaginary axis
+    ((256, 256), 16, "map2", "L", "real_zero", None, [[0], [1]]),
 ])
 def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, quant, calls):
     import mimodet.detect as det
@@ -756,6 +762,11 @@ def test_stacked_sides_equal_per_side_calls(mods, t, detector, mode, priors, qua
     lam = None
     if priors is not None:
         lam = [rng.normal(0.0, 1.5, (t, c.bits_per_symbol)) for c in cons]
+    if priors == "layer1_zero":
+        lam[1][:] = 0.0
+    elif priors == "real_zero":
+        for c, p in zip(cons, lam):
+            p[:, c.real_bit_idx] = 0.0
     sides = 2 if detector == "map2" else n
     rescore = mode == "H"
     assert det._side_calls(cons, sides, t) == calls
